@@ -4,29 +4,23 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench-quick bench bench-parity lint lint-cache-parity scenarios-smoke dsl-smoke trace-smoke profile-smoke telemetry-smoke
+.PHONY: test bench-quick bench lint lint-cache-parity scenarios-smoke dsl-smoke trace-smoke profile-smoke telemetry-smoke
 
 ## Tier-1: the full unit/integration/property suite.
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-## Perf baseline at quick scale: times every figure, verifies the
-## optimized path is bit-identical to serial/uncached, writes
-## BENCH_results.json.
+## Result verifier at quick scale: runs every figure on the production
+## path and on the serial/uncached/heap reference path with every
+## observer on, fails on any digest mismatch, and rewrites the
+## deterministic BENCH_results.json (any git diff = a changed output).
+## Host time is measured by `python3 bench/run.py`.
 bench-quick:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench
 
 ## The full pytest-benchmark evaluation (minutes; needs pytest-benchmark).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-## Scheduler parity: every benched figure runs at quick scale under both
-## registered event schedulers (heap and wheel) and the full result
-## digests must be identical — the hard bit-identical contract of
-## repro.sim.scheduler (see docs/ARCHITECTURE.md, "Event core").
-bench-parity:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/test_scheduler_parity.py -k TestFigureParity
 
 ## Static sanity: byte-compile everything, then the simulator-aware
 ## static-analysis pass (determinism / cycle-safety / trace-discipline

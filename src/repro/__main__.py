@@ -11,12 +11,11 @@ Usage::
     python -m repro validate my_scenario.yaml       # check a payload only
     python -m repro catalogue --markdown # scenario table for the docs
     python -m repro all --jobs 4         # the whole evaluation, 4 processes
-    python -m repro bench                # perf baseline -> BENCH_results.json
+    python -m repro bench                # verify results -> BENCH_results.json
     python -m repro trace fig12 --trace-out run.json   # traced quick run
     python -m repro profile fig16        # latency attribution -> profile.json
     python -m repro profile --diff a.json b.json       # rank attribution deltas
     python -m repro status runs.jsonl    # summarize a sweep run ledger
-    python -m repro bench --compare BENCH_results.json  # regression gate
     python -m repro lint                 # simulator-aware static analysis
 
 Sweep points within a figure are independent simulations; ``--jobs N`` (or
@@ -28,14 +27,19 @@ at quick scale and writes a single combined trace, ``profile`` does the
 same under the in-stream latency profiler and writes a ProfileReport plus
 a collapsed-stack flamegraph (see docs/OBSERVABILITY.md).
 
+``bench`` is a result verifier, not a timer: it runs every benched figure
+twice at quick scale — the production path (``--jobs``, caches on, default
+scheduler) and a serial, uncached, heap-scheduled reference with tracing,
+profiling, the run ledger and the progress line all on — exits non-zero
+if the two full-result digests differ, and writes them to the
+deterministic ``BENCH_results.json``.  Host time is measured by
+``python3 bench/run.py``.
+
 Fleet telemetry: ``--ledger FILE`` (or ``REPRO_LEDGER``) appends one JSONL
 lifecycle event per sweep job, ``--progress`` (or ``REPRO_PROGRESS=1``)
-draws a stderr progress line, ``status`` summarizes a ledger
-(completed/running/failed, throughput, ETA, slowest jobs), and ``bench
---compare OLD.json`` gates per-figure events/sec against a baseline
-(non-zero exit on regression; ``--against NEW.json`` compares two saved
-payloads without re-benching).  See docs/OBSERVABILITY.md, "Fleet
-telemetry".
+draws a stderr progress line, and ``status`` summarizes a ledger
+(completed/running/failed, throughput, ETA, slowest jobs).  See
+docs/OBSERVABILITY.md, "Fleet telemetry".
 """
 
 from __future__ import annotations
@@ -358,48 +362,16 @@ def _run_status(args, parser) -> int:
 
 
 def _run_bench(args, parser) -> int:
-    """``python -m repro bench``: the perf baseline, optionally gated.
+    """``python -m repro bench``: verify every figure, write the digests;
+    exit 1 (without writing) on the first digest mismatch."""
+    from repro.perf import BenchMismatchError, run_bench
 
-    ``--compare OLD.json`` runs the bench and then gates the fresh
-    payload against the baseline (non-zero exit on any figure below
-    ``--threshold`` x baseline events/sec); adding ``--against NEW.json``
-    skips benching entirely and compares two saved payloads — the cheap
-    CI path when a bench artifact already exists.
-    """
-    from repro.obs.telemetry import (
-        DEFAULT_THRESHOLD,
-        CompareError,
-        compare_bench,
-        load_bench_payload,
-        render_compare,
-    )
-    from repro.perf import run_bench
-
-    threshold = (args.threshold if args.threshold is not None
-                 else DEFAULT_THRESHOLD)
-    if args.against is not None and args.compare is None:
-        parser.error("--against needs --compare OLD.json")
     try:
-        if args.compare is not None and args.against is not None:
-            old = load_bench_payload(args.compare)
-            new = load_bench_payload(args.against)
-        else:
-            old = (load_bench_payload(args.compare)
-                   if args.compare is not None else None)
-            new = run_bench(jobs=args.jobs, verify=not args.no_verify,
-                            output=args.output,
-                            trace_verify=args.verify_tracing,
-                            attribution=args.attribution,
-                            telemetry_verify=args.verify_telemetry,
-                            repeats=args.repeats)
-        if old is None:
-            return 0
-        report = compare_bench(old, new, threshold=threshold)
-    except CompareError as exc:
+        run_bench(jobs=args.jobs)
+    except BenchMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_compare(report), end="")
-    return 0 if report["ok"] else 1
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -427,9 +399,10 @@ def main(argv=None) -> int:
                              "executes any registered scenario by name or "
                              "alias, or a DSL payload file; 'validate' "
                              "schema-checks a payload file; 'catalogue' "
-                             "prints the scenario table; 'bench' times the "
-                             "quick-scale suite and writes the perf "
-                             "baseline; 'trace' runs one figure at quick "
+                             "prints the scenario table; 'bench' verifies "
+                             "every figure's results against a serial, "
+                             "uncached reference and writes their digests; "
+                             "'trace' runs one figure at quick "
                              "scale with tracing on; 'profile' runs one "
                              "figure under the latency profiler; 'status' "
                              "summarizes a sweep run ledger; 'lint' "
@@ -444,15 +417,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="fan independent sweep points out over N "
                              "processes (default: $REPRO_JOBS or 1)")
-    parser.add_argument("--output", default="BENCH_results.json",
-                        help="bench only: where to write the perf baseline "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-verify", action="store_true",
-                        help="bench only: skip the bit-identical check "
-                             "against the serial/uncached reference")
-    parser.add_argument("--verify-tracing", action="store_true",
-                        help="bench only: also verify results are "
-                             "bit-identical with tracing enabled")
     parser.add_argument("--trace-out", default="trace.json", metavar="FILE",
                         help="trace only: Perfetto JSON output path "
                              "(default: %(default)s)")
@@ -508,10 +472,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="catalogue only: verify the committed copy "
                              "in docs/SCENARIOS.md matches the registry")
-    parser.add_argument("--attribution", action="store_true",
-                        help="bench only: run each figure once more under "
-                             "the latency profiler and write phase "
-                             "attribution into BENCH_results.json")
     parser.add_argument("--ledger", default=None, metavar="FILE",
                         help="figure runs: append one JSONL lifecycle "
                              "event per sweep job to FILE (also "
@@ -520,26 +480,6 @@ def main(argv=None) -> int:
                         help="figure runs: draw an in-terminal progress "
                              "line on stderr as sweep jobs complete "
                              "(also $REPRO_PROGRESS=1)")
-    parser.add_argument("--verify-telemetry", action="store_true",
-                        help="bench only: also verify results are "
-                             "bit-identical with the run ledger and "
-                             "progress line enabled")
-    parser.add_argument("--compare", default=None, metavar="OLD.json",
-                        help="bench only: regression-gate the fresh bench "
-                             "against a baseline payload (non-zero exit "
-                             "when any figure drops below the threshold)")
-    parser.add_argument("--against", default=None, metavar="NEW.json",
-                        help="bench only, with --compare: skip benching "
-                             "and compare two saved payloads instead")
-    parser.add_argument("--threshold", type=float, default=None, metavar="R",
-                        help="bench --compare: regression threshold as a "
-                             "fraction of baseline events/sec "
-                             "(default: 0.75)")
-    parser.add_argument("--repeats", type=int, default=3, metavar="N",
-                        help="bench only: timed runs per figure; the "
-                             "fastest is recorded (best-of-N defeats "
-                             "quick-scale machine noise; default: "
-                             "%(default)s)")
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -566,7 +506,8 @@ def main(argv=None) -> int:
             return 0
         for name, (description, _run) in sorted(EXPERIMENTS.items()):
             print(f"  {name:8s} {description}")
-        print("  bench    perf baseline: time every figure at quick scale")
+        print("  bench    verify every figure bit-identical at quick scale "
+              "-> BENCH_results.json")
         print("  run      any registered scenario by name or alias "
               "(or a payload file, see docs/SCENARIOS.md):")
         for name in scenario_names():

@@ -51,8 +51,8 @@ semantics (exceptions propagate) are preserved while the ledger stays
 complete.
 
 All telemetry is observational: nothing in it feeds back into job
-execution, and ``python -m repro bench --verify-telemetry`` proves result
-fingerprints are bit-identical with the ledger and progress line enabled.
+execution, and ``python -m repro bench`` proves full-result digests are
+bit-identical with the ledger and progress line enabled.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ counters at a configurable simulated-time interval.  Exporters write
 Chrome/Perfetto ``trace_event`` JSON (open in https://ui.perfetto.dev or
 ``chrome://tracing``) and metric samples as CSV or JSON (identical rows
 either way).  The fleet-level counterpart — cross-run job ledger, metrics
-registry, bench regression gate — lives in :mod:`repro.obs.telemetry`.
+registry, progress line — lives in :mod:`repro.obs.telemetry`.
 
 Tracing is purely observational: instrument sites only *read* simulator
 state and never schedule events, so simulated cycle counts and energy
-totals are bit-identical with tracing on or off (the perf harness's
-``--verify-tracing`` mode proves it).  When no recorder is installed the
+totals are bit-identical with tracing on or off (every
+``python -m repro bench`` proves it).  When no recorder is installed the
 instrument sites reduce to one attribute read and a truth test.
 
 On top of the raw feed sits the latency-attribution layer

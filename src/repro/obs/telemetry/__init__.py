@@ -1,14 +1,14 @@
-"""Fleet telemetry: metrics registry, run ledger, progress, bench gate.
+"""Fleet telemetry: metrics registry, run ledger, progress line.
 
 ``repro.obs.telemetry`` is the *orchestration-layer* counterpart of the
 per-run tracing stack (``repro.obs.recorder`` / ``repro.obs.profile``).
 Tracing answers "where did the cycles of one simulation go?"; telemetry
 answers "what is the fleet doing?" — which sweep jobs ran where, how
-long they took, what the caches did, whether throughput regressed — and
-it is the surface every later serving/distributed layer (simulation as a
-service, resumable sweeps) emits into.
+long they took, what the caches did — and it is the surface every later
+serving/distributed layer (simulation as a service, resumable sweeps)
+emits into.
 
-Four pieces, all stdlib-only and deliberately host-side:
+Three pieces, all stdlib-only and deliberately host-side:
 
 * :mod:`~repro.obs.telemetry.registry` — a process-safe
   :class:`MetricsRegistry` of :class:`Counter` / :class:`Gauge` /
@@ -26,14 +26,8 @@ Four pieces, all stdlib-only and deliberately host-side:
 * :mod:`~repro.obs.telemetry.progress` — an opt-in, stderr-only
   in-terminal progress line for ``run`` / ``bench``.  Like the tracing
   layer it is purely observational: it never touches simulated state,
-  and the bench harness's ``--verify-telemetry`` mode proves result
-  fingerprints are bit-identical with it enabled.
-* :mod:`~repro.obs.telemetry.compare` — the **bench regression gate**:
-  a deterministic ``repro-telemetry/1`` report of per-figure events/sec
-  and wall-time deltas between two ``BENCH_results.json`` payloads, with
-  a configurable threshold (``python -m repro bench --compare OLD.json``
-  exits non-zero on regression; CI runs it against the committed
-  baseline).
+  and ``python -m repro bench`` proves full-result digests are
+  bit-identical with it (and the ledger) enabled.
 
 Everything here reads the wall clock on purpose — job timing *is* the
 payload — which is why the ``no-wall-clock`` lint excludes this package;
@@ -41,15 +35,6 @@ nothing in it can reach simulated state (see docs/OBSERVABILITY.md,
 "Fleet telemetry").
 """
 
-from repro.obs.telemetry.compare import (
-    DEFAULT_THRESHOLD,
-    TELEMETRY_SCHEMA,
-    CompareError,
-    compare_bench,
-    load_bench_payload,
-    render_compare,
-    write_report,
-)
 from repro.obs.telemetry.ledger import (
     LEDGER_EVENTS,
     LEDGER_SCHEMA,
@@ -76,8 +61,6 @@ from repro.obs.telemetry.registry import (
 
 __all__ = [
     "Counter",
-    "CompareError",
-    "DEFAULT_THRESHOLD",
     "Gauge",
     "Histogram",
     "LEDGER_EVENTS",
@@ -87,18 +70,13 @@ __all__ = [
     "LedgerWriter",
     "MetricsRegistry",
     "ProgressLine",
-    "TELEMETRY_SCHEMA",
-    "compare_bench",
     "diff_snapshots",
     "get_registry",
-    "load_bench_payload",
     "param_digest",
     "read_ledger",
-    "render_compare",
     "render_status",
     "reset_registry",
     "summarize_ledger",
     "traceback_digest",
     "worker_id",
-    "write_report",
 ]

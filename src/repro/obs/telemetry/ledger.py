@@ -32,8 +32,8 @@ keys; ``seq`` is the parent's merge order, so a ledger sorts stably even
 when worker wall clocks disagree.
 
 The ledger is *observational by construction*: nothing in it feeds back
-into job execution, and the bench harness's ``--verify-telemetry`` mode
-proves result fingerprints are bit-identical with the ledger enabled.
+into job execution, and ``python -m repro bench`` proves full-result
+digests are bit-identical with the ledger enabled.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ It is deliberately the dumbest possible implementation — no threads, no
 timers, no escape codes beyond ``\\r`` — and it writes **only** to the
 stream it was given (stderr by default), never to stdout, so paper-style
 row output and payload-run determinism contracts are untouched.  Nothing
-here reads or writes simulator state; the bench harness's
-``--verify-telemetry`` mode proves result fingerprints are bit-identical
-with the progress line enabled.
+here reads or writes simulator state; ``python -m repro bench`` proves
+full-result digests are bit-identical with the progress line enabled.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Performance harness: timed figure runs and the perf-regression baseline.
+"""Result verifier: every benched figure stays bit-identical.
 
-``python -m repro bench`` times every figure at quick scale, verifies the
-simulated results are bit-identical to the serial/uncached scheduling path,
-and writes ``BENCH_results.json`` — the wall-clock/events-per-second
-trajectory that future changes are judged against.
+``python -m repro bench`` runs every figure twice at quick scale — once on
+the production path, once on the serial/uncached/heap reference path with
+every observer attached — asserts the two full-result digests match, and
+writes them to ``BENCH_results.json``.  Host time is measured by
+``bench/``, not here.
 """
 
 from repro.perf.harness import (
     BENCH_SCHEMA,
     BenchMismatchError,
-    FigureBenchResult,
     bench_figures,
     fingerprint,
     resolve_figure,
@@ -19,7 +19,6 @@ from repro.perf.harness import (
 __all__ = [
     "BENCH_SCHEMA",
     "BenchMismatchError",
-    "FigureBenchResult",
     "bench_figures",
     "fingerprint",
     "resolve_figure",

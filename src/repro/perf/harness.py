@@ -1,81 +1,51 @@
-"""Timed figure campaigns + bit-identical verification + BENCH baseline.
+"""One-pass result verifier behind ``python -m repro bench``.
 
-Each benched figure is executed twice at quick scale:
+Each benched figure is simulated exactly twice at quick scale:
 
-1. a *timed* run with the configured job count, the controller's timing
-   plan cache, and the cross-run index cache enabled (the production
-   path), and
-2. a *reference* run, serial and with ``REPRO_DISABLE_PLAN_CACHE=1`` and
-   ``REPRO_DISABLE_INDEX_CACHE=1`` (the always-recompute path),
+1. a *production* run: the configured job count, the controller's timing
+   plan cache and the cross-run index cache on, the default event
+   scheduler, and
+2. a *reference* run: serial, both caches off
+   (``REPRO_DISABLE_PLAN_CACHE=1``, ``REPRO_DISABLE_INDEX_CACHE=1``), the
+   ``heap`` reference scheduler, and every observer attached at once — a
+   profiling :class:`~repro.obs.TraceSession` with metric sampling, a run
+   ledger in a temp file, and a progress line sent to a string buffer.
 
-and the two runs' :class:`~repro.core.metrics.Report` fingerprints —
-cycle counts, energy components, task counts — must match exactly.  The
-optimizations are pure host-side work elision (scheduling plans, index
-construction); any divergence is a bug, so the harness hard-asserts
-rather than warning.
+The two results must have the same full-result digest (:func:`_digest`):
+every field of the result object, not only its
+:class:`~repro.core.metrics.Report`\\ s.  Caching, fan-out, the scheduler
+choice and the observers are all pure host-side concerns, so any
+divergence is a bug and raises :class:`BenchMismatchError`.
 
-``BENCH_results.json`` schema (``repro-bench/3``)::
+Host time is not measured here; ``bench/`` is the host-time instrument.
+
+``BENCH_results.json`` schema (``repro-bench/4``) is deterministic — the
+same code writes the same bytes, whatever the job count or environment::
 
     {
-      "schema": "repro-bench/3",
-      "created_unix": <float, seconds since epoch>,
+      "schema": "repro-bench/4",
       "scale": "quick",
-      "jobs": <int>,
-      "repeats": <int>,               # timed runs per figure; wall_s /
-                                      # events_per_sec are the best run
-                                      # (machine noise at quick scale is
-                                      # +/-20%; best-of-N is stable)
       "figures": {
         "<figure>": {
-          "wall_s": <float>,          # best timed-run wall clock
-          "events": <int>,            # simulation events executed
-          "events_per_sec": <float>,  # events / wall_s (0 when jobs > 1:
-                                      # events then execute in workers)
-          "scheduler": <str>,         # event scheduler of the timed run
-          "occupancy": <dict or null>,  # per-scheduler queue stats from
-                                      # Engine.process_occupancy(): events
-                                      # enqueued, cycles started, max/avg
-                                      # same-cycle batch size
-          "schedulers": <dict or null>,  # comparison runs under the other
-                                      # registered schedulers: name ->
-                                      # {wall_s, events, events_per_sec,
-                                      # occupancy, verified_identical};
-                                      # fingerprints are hard-asserted
-                                      # equal to the primary run
-          "verified_identical": <bool or null>,  # null = verify skipped
-          "reference_wall_s": <float or null>,  # serial/uncached run wall
-                                      # clock (null = verify skipped);
-                                      # wall_s vs this shows the cache win
-          "index_cache": <dict or null>,  # in-process index-cache counter
-                                      # deltas over the timed run (hits/
-                                      # misses/build_s/...); undercounts
-                                      # when jobs > 1 (workers keep their
-                                      # own caches)
-          "attribution": <dict or null>  # latency attribution from an
-                                      # in-stream profiled pass (request/
-                                      # task phase totals in cycles plus a
-                                      # per-system bound verdict); null
-                                      # unless benched with attribution
+          "digest": <str>,              # sha256 of the full result
+          "verified_identical": <bool>  # production == reference
         }, ...
-      },
-      "previous": <dict or null>,     # baseline block lifted from the
-                                      # output file being overwritten:
-                                      # {schema, created_unix,
-                                      # events_per_sec: {figure: eps},
-                                      # geomean_speedup} — the committed
-                                      # history of the perf trajectory
-      "total_wall_s": <float>
+      }
     }
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
-import math
 import os
-import time
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import tempfile
+from dataclasses import fields, is_dataclass
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.core.metrics import Report
 from repro.experiments import ExperimentScale, ParallelSweepRunner
@@ -86,8 +56,7 @@ from repro.experiments.scenarios import (
 )
 from repro.genomics import index_cache
 from repro.schemas import SCHEMAS
-from repro.sim.engine import Engine
-from repro.sim.scheduler import DEFAULT_SCHEDULER, SCHEDULER_ENV, SCHEDULERS
+from repro.sim.scheduler import DEFAULT_SCHEDULER, SCHEDULER_ENV, HeapScheduler
 
 BENCH_SCHEMA = SCHEMAS["bench"]
 
@@ -156,448 +125,170 @@ def fingerprint(result: Any) -> List[Tuple]:
     ]
 
 
+def _canonical(obj: Any) -> str:
+    """Canonical text of a whole result object.
+
+    Dataclasses render as ``Name(field=...,...)`` in field order, dicts
+    and sequences in iteration order.  Floats go through
+    ``float.__repr__`` (shortest round-trip form), so a numpy float
+    scalar reads the same as the Python float it equals and the text
+    does not depend on the numpy version.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        inner = ",".join(
+            f"{f.name}={_canonical(getattr(obj, f.name))}" for f in fields(obj)
+        )
+        return f"{type(obj).__name__}({inner})"
+    if isinstance(obj, dict):
+        return "{" + ",".join(
+            f"{_canonical(key)}:{_canonical(value)}"
+            for key, value in obj.items()
+        ) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_canonical(value) for value in obj) + "]"
+    if isinstance(obj, float):
+        return float.__repr__(obj)
+    return repr(obj)
+
+
+def _digest(result: Any) -> str:
+    """sha256 of :func:`_canonical`: the full-result digest.
+
+    Stricter than :func:`fingerprint`: besides the Report fields it covers
+    every derived series and scalar (fig13's chip profiles and fig17's
+    energy shares publish no Report at all), with floats compared exactly.
+    """
+    return hashlib.sha256(_canonical(result).encode("utf-8")).hexdigest()
+
+
 class BenchMismatchError(AssertionError):
-    """A cached/parallel run diverged from the serial/uncached reference."""
+    """A production run diverged from the serial/uncached reference."""
 
 
-# -- the harness -------------------------------------------------------------------
+# -- the verifier ------------------------------------------------------------------
 
 
-@dataclass
-class FigureBenchResult:
-    """Timing (and optional latency attribution) of one figure campaign."""
-
-    name: str
-    wall_s: float
-    events: int
-    #: Event scheduler the timed run used (``REPRO_SCHEDULER`` or the
-    #: default); comparison runs under other schedulers land in
-    #: :attr:`schedulers`.
-    scheduler: str = DEFAULT_SCHEDULER
-    #: Timed runs taken; ``wall_s``/``events`` are the best (fastest) one.
-    repeats: int = 1
-    #: Per-scheduler queue statistics from the timed run (see
-    #: :meth:`repro.sim.engine.Engine.process_occupancy`): events
-    #: enqueued, cycles started, max/avg same-cycle batch size.
-    occupancy: Optional[Dict[str, Any]] = None
-    #: Comparison runs under the other registered schedulers, keyed by
-    #: scheduler name; each carries its own timing + occupancy and a
-    #: ``verified_identical`` flag (fingerprint parity with the primary
-    #: run, hard-asserted by :func:`bench_figures`).
-    schedulers: Optional[Dict[str, Dict[str, Any]]] = None
-    verified_identical: Optional[bool] = None
-    #: Wall clock of the serial/uncached reference run (``None`` when the
-    #: verify pass is skipped); ``wall_s`` against this is the combined
-    #: plan-cache + index-cache + parallelism win.
-    reference_wall_s: Optional[float] = None
-    #: In-process index-cache counter deltas over the timed run (see
-    #: :func:`repro.genomics.index_cache.cache_stats`); undercounts when
-    #: jobs > 1 because pool workers keep their own caches.
-    index_cache: Optional[Dict[str, Any]] = None
-    #: Compact latency attribution from a profiled pass (see
-    #: :func:`bench_figures` ``attribution=``), or ``None``.
-    attribution: Optional[Dict[str, Any]] = None
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "wall_s": self.wall_s,
-            "events": self.events,
-            "events_per_sec": self.events_per_sec,
-            "scheduler": self.scheduler,
-            "occupancy": self.occupancy,
-            "schedulers": self.schedulers,
-            "verified_identical": self.verified_identical,
-            "reference_wall_s": self.reference_wall_s,
-            "index_cache": self.index_cache,
-            "attribution": self.attribution,
-        }
+def _set_environ(values: Mapping[str, Optional[str]]) -> None:
+    for name, value in values.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
 
 
-def _timed_run(
-    fn: Callable[..., Any], scale: ExperimentScale,
-    runner: ParallelSweepRunner, scheduler: Optional[str] = None,
-) -> Tuple[Any, float, int, Dict[str, Any], Dict[str, Any]]:
-    """One timed figure run; returns ``(result, wall_s, events,
-    index_cache_delta, occupancy)``.
+@contextlib.contextmanager
+def _environ(values: Mapping[str, Optional[str]]) -> Iterator[None]:
+    """Set (or, for ``None``, unset) environment variables for a block.
 
-    The engine's process-wide counters are reset up front
-    (:meth:`Engine.reset_process_counters`) so the event count and the
-    scheduler-occupancy report read back afterwards are exactly this
-    run's, with no delta bookkeeping.  With ``scheduler`` set, the run
-    executes under that event scheduler via ``REPRO_SCHEDULER``.
+    Pool workers inherit the environment, so this also pins the settings
+    of a fanned-out production run.
     """
-    previous = os.environ.get(SCHEDULER_ENV)
-    if scheduler is not None:
-        os.environ[SCHEDULER_ENV] = scheduler
+    previous = {name: os.environ.get(name) for name in values}
+    _set_environ(values)
     try:
-        Engine.reset_process_counters()
-        cache_before = index_cache.cache_stats()
-        started = time.perf_counter()
-        result = fn(scale, runner=runner)
-        wall = time.perf_counter() - started
-        events = Engine.global_events_executed()
-        occupancy = Engine.process_occupancy()
-        cache_after = index_cache.cache_stats()
-        cache_delta = {
-            key: cache_after[key] - cache_before[key] for key in cache_after
-        }
-        return result, wall, events, cache_delta, occupancy
+        yield
     finally:
-        if scheduler is not None:
-            if previous is None:
-                os.environ.pop(SCHEDULER_ENV, None)
-            else:
-                os.environ[SCHEDULER_ENV] = previous
+        _set_environ(previous)
 
 
-def _best_timed_run(
-    fn: Callable[..., Any], scale: ExperimentScale,
-    runner: ParallelSweepRunner, repeats: int,
-    scheduler: Optional[str] = None,
-) -> Tuple[Any, float, int, Dict[str, Any], Dict[str, Any]]:
-    """Best-of-``repeats`` wrapper around :func:`_timed_run`.
+_PLAN_CACHE_DISABLE_ENV = "REPRO_DISABLE_PLAN_CACHE"
 
-    Quick-scale figures finish in a few seconds, where host machine noise
-    swings wall clocks by +/-20%; keeping the fastest of N runs makes the
-    recorded events/sec reproducible.  Results are bit-identical across
-    runs (that is separately verified), so any run's result object works.
-    """
-    best = None
-    for _ in range(max(1, repeats)):
-        attempt = _timed_run(fn, scale, runner, scheduler=scheduler)
-        if best is None or attempt[1] < best[1]:
-            best = attempt
-    return best
+#: The production path: both caches on, the default scheduler.
+_PRODUCTION_ENV = {
+    SCHEDULER_ENV: DEFAULT_SCHEDULER,
+    _PLAN_CACHE_DISABLE_ENV: None,
+    index_cache.DISABLE_ENV: None,
+}
 
+#: The always-recompute path on the reference scheduler.
+_REFERENCE_ENV = {
+    SCHEDULER_ENV: HeapScheduler.name,
+    _PLAN_CACHE_DISABLE_ENV: "1",
+    index_cache.DISABLE_ENV: "1",
+}
 
-#: Environment switches flipped for the reference (always-recompute) run.
-_REFERENCE_DISABLES = ("REPRO_DISABLE_PLAN_CACHE", index_cache.DISABLE_ENV)
-
-
-def _reference_run(fn: Callable[..., Any],
-                   scale: ExperimentScale) -> Tuple[Any, float]:
-    """Serial, cache-disabled run (the pre-optimization semantics): the
-    plan cache and the cross-run index cache are both off.  Returns the
-    result and its wall clock (the uncached baseline for the cache win)."""
-    serial = ParallelSweepRunner(jobs=1)
-    previous = {name: os.environ.get(name) for name in _REFERENCE_DISABLES}
-    for name in _REFERENCE_DISABLES:
-        os.environ[name] = "1"
-    try:
-        started = time.perf_counter()
-        result = fn(scale, runner=serial)
-        return result, time.perf_counter() - started
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
-
-
-#: Event cap for verification-only traced runs: small on purpose — the
-#: point is exercising the instrumented code paths, not keeping events.
+#: Event cap for the reference run's trace recorder: small on purpose —
+#: the point is exercising the instrumented code paths, not keeping events.
 TRACE_VERIFY_LIMIT = 50_000
 
 
-def _traced_run(fn: Callable[..., Any], scale: ExperimentScale) -> Any:
-    """Serial run with tracing enabled, for tracing-is-observational checks."""
-    from repro.obs import TraceSession
-
-    serial = ParallelSweepRunner(jobs=1)
-    with TraceSession(limit=TRACE_VERIFY_LIMIT):
-        return fn(scale, runner=serial)
-
-
-def _telemetry_run(fn: Callable[..., Any], scale: ExperimentScale) -> Any:
-    """Serial run with the run ledger and progress line enabled, for
-    telemetry-is-observational checks (``bench --verify-telemetry``).
+def _reference_run(fn: Callable[..., Any], scale: ExperimentScale) -> Any:
+    """Serial, uncached, heap-scheduled run with every observer attached.
 
     The ledger goes to a throwaway temp file and the progress line to an
-    in-memory stream, so the check leaves no artifacts; only the
-    fingerprint comparison against the plain run matters.
+    in-memory stream, so the run leaves no artifacts.
     """
-    import io
-    import tempfile
+    from repro.obs import TraceSession
+    from repro.obs.session import DEFAULT_METRICS_INTERVAL
 
-    with tempfile.TemporaryDirectory() as tmp:
-        serial = ParallelSweepRunner(
+    with tempfile.TemporaryDirectory() as tmp, _environ(_REFERENCE_ENV):
+        runner = ParallelSweepRunner(
             jobs=1,
             ledger_path=os.path.join(tmp, "verify-ledger.jsonl"),
             progress=True,
             progress_stream=io.StringIO(),
         )
-        return fn(scale, runner=serial)
-
-
-def _profiled_run(
-    fn: Callable[..., Any], scale: ExperimentScale, figure: str
-) -> Tuple[Any, Dict[str, Any]]:
-    """Serial run with the in-stream profiler attached (zero stored
-    events); returns the figure result and a compact attribution dict."""
-    from repro.obs import TraceSession
-
-    serial = ParallelSweepRunner(jobs=1)
-    with TraceSession(limit=0, profile=True) as session:
-        result = fn(scale, runner=serial)
-    report = session.profile_report(figure=figure, scale="quick")
-    totals = report.totals
-    attribution = {
-        "request_phases_cycles": dict(totals["requests"]["phases_cycles"]),
-        "task_phases_cycles": dict(totals["tasks"]["phases_cycles"]),
-        "bound_by_system": dict(totals["bound_by_system"]),
-    }
-    return result, attribution
+        with TraceSession(limit=TRACE_VERIFY_LIMIT, profile=True,
+                          metrics_interval=DEFAULT_METRICS_INTERVAL):
+            return fn(scale, runner=runner)
 
 
 def bench_figures(
     figures: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-    verify: bool = True,
-    scale: Optional[ExperimentScale] = None,
     progress: Optional[Callable[[str], None]] = None,
-    trace_verify: bool = False,
-    attribution: bool = False,
-    telemetry_verify: bool = False,
-    repeats: int = 1,
-    schedulers: Optional[Sequence[str]] = None,
-) -> List[FigureBenchResult]:
-    """Time each figure campaign; optionally verify against the reference.
+) -> Dict[str, Dict[str, Any]]:
+    """Verify each figure's production run against its reference run.
 
-    Raises :class:`BenchMismatchError` if any verified figure's simulated
-    cycle counts or energy totals differ from the serial/uncached path.
-    With ``trace_verify``, each figure additionally runs once with tracing
-    enabled and its fingerprint must match the timed run — tracing is
-    observational and must never perturb simulated behaviour.  With
-    ``attribution``, each figure runs once more under the in-stream
-    latency profiler (which must also leave the fingerprint untouched)
-    and its result row carries the phase-decomposition totals.  With
-    ``telemetry_verify``, each figure runs once more with the fleet
-    run-ledger and progress line enabled and its fingerprint must match —
-    the same discipline, applied to the telemetry layer.
-
-    ``repeats`` times each figure N times and records the fastest run
-    (quick-scale machine noise is +/-20%; the best of 3 is stable).
-    ``schedulers`` names additional event schedulers (see
-    :data:`repro.sim.scheduler.SCHEDULERS`) to time each figure under for
-    comparison; their fingerprints are hard-asserted bit-identical to the
-    primary run's (:class:`BenchMismatchError` otherwise), making every
-    bench also a scheduler-parity check.
+    Returns the ``figures`` table of ``BENCH_results.json``:
+    ``{name: {"digest": ..., "verified_identical": True}}``.  Raises
+    :class:`BenchMismatchError` on the first figure whose two digests
+    differ.
     """
     names = list(figures) if figures is not None else list(BENCH_FIGURES)
     unknown = sorted(set(names) - set(BENCH_FIGURES))
     if unknown:
         raise ValueError(f"unknown bench figures: {unknown}")
-    extra_schedulers = list(schedulers) if schedulers else []
-    unknown_scheds = sorted(set(extra_schedulers) - set(SCHEDULERS))
-    if unknown_scheds:
-        raise ValueError(f"unknown schedulers: {unknown_scheds}")
-    primary_scheduler = os.environ.get(SCHEDULER_ENV) or DEFAULT_SCHEDULER
-    scale = scale if scale is not None else ExperimentScale.quick()
+    scale = ExperimentScale.quick()
     runner = ParallelSweepRunner(jobs=jobs)
-    results: List[FigureBenchResult] = []
+    table: Dict[str, Dict[str, Any]] = {}
     for name in names:
         fn = BENCH_FIGURES[name]
         if progress:
-            progress(f"[bench] {name}: timing ...")
-        result, wall, events, cache_delta, occ = _best_timed_run(
-            fn, scale, runner, repeats)
-        entry = FigureBenchResult(name=name, wall_s=wall, events=events,
-                                  scheduler=primary_scheduler,
-                                  repeats=max(1, repeats),
-                                  occupancy=occ or None,
-                                  index_cache=cache_delta)
-        base_print = fingerprint(result)
-        for sched_name in extra_schedulers:
-            if sched_name == primary_scheduler:
-                continue
-            if progress:
-                progress(f"[bench] {name}: timing under "
-                         f"{sched_name} scheduler ...")
-            s_result, s_wall, s_events, _, s_occ = _best_timed_run(
-                fn, scale, runner, repeats, scheduler=sched_name)
-            if fingerprint(s_result) != base_print:
-                raise BenchMismatchError(
-                    f"{name}: results under the {sched_name} scheduler "
-                    f"diverge from the {primary_scheduler} run — event "
-                    "schedulers must be order-identical"
-                )
-            if entry.schedulers is None:
-                entry.schedulers = {}
-            entry.schedulers[sched_name] = {
-                "wall_s": s_wall,
-                "events": s_events,
-                "events_per_sec": (s_events / s_wall if s_wall > 0 else 0.0),
-                "occupancy": s_occ or None,
-                "verified_identical": True,
-            }
-        if verify:
-            if progress:
-                progress(f"[bench] {name}: verifying vs serial/uncached ...")
-            reference, entry.reference_wall_s = _reference_run(fn, scale)
-            identical = fingerprint(result) == fingerprint(reference)
-            entry.verified_identical = identical
-            if not identical:
-                raise BenchMismatchError(
-                    f"{name}: cached/parallel results diverge from the "
-                    "serial/uncached reference — scheduler caching, the "
-                    "index cache, or the parallel fan-out changed simulated "
-                    "behaviour"
-                )
-        if trace_verify:
-            if progress:
-                progress(f"[bench] {name}: verifying tracing on == off ...")
-            traced = _traced_run(fn, scale)
-            if fingerprint(result) != fingerprint(traced):
-                raise BenchMismatchError(
-                    f"{name}: results with tracing enabled diverge from the "
-                    "untraced run — an instrumentation site is perturbing "
-                    "simulated behaviour"
-                )
-        if telemetry_verify:
-            if progress:
-                progress(f"[bench] {name}: verifying telemetry on == off ...")
-            observed = _telemetry_run(fn, scale)
-            if fingerprint(result) != fingerprint(observed):
-                raise BenchMismatchError(
-                    f"{name}: results with the run ledger and progress line "
-                    "enabled diverge from the plain run — fleet telemetry "
-                    "must be purely observational"
-                )
-        if attribution:
-            if progress:
-                progress(f"[bench] {name}: profiling latency attribution ...")
-            profiled, entry.attribution = _profiled_run(fn, scale, name)
-            if fingerprint(result) != fingerprint(profiled):
-                raise BenchMismatchError(
-                    f"{name}: results with the profiler attached diverge "
-                    "from the unprofiled run — profiling must be purely "
-                    "observational"
-                )
-        results.append(entry)
-    return results
-
-
-def _previous_baseline(output: str) -> Optional[Dict[str, Any]]:
-    """Compact baseline block lifted from the bench file being replaced.
-
-    Keeps the overwritten run's schema id, timestamp, and per-figure
-    events/sec so the new file documents the perf trajectory (and the
-    compare gate's reference) without needing git archaeology.  Returns
-    ``None`` when there is no prior file or it is unreadable.
-    """
-    if not output or not os.path.exists(output):
-        return None
-    try:
-        with open(output, "r", encoding="utf-8") as handle:
-            old = json.load(handle)
-        eps = {
-            name: float(fig["events_per_sec"])
-            for name, fig in old.get("figures", {}).items()
-            if isinstance(fig, dict) and fig.get("events_per_sec")
-        }
-    except (OSError, ValueError, TypeError, KeyError):
-        return None
-    if not eps:
-        return None
-    return {
-        # repro: allow[schema-id-registry] -- echoes the replaced file's
-        # own schema id into the history block, whatever (possibly
-        # superseded) version it carried; inherently dynamic, never parsed.
-        "schema": old.get("schema"),
-        "created_unix": old.get("created_unix"),
-        "events_per_sec": eps,
-    }
-
-
-def _geomean_speedup(results: Sequence[FigureBenchResult],
-                     previous: Dict[str, Any]) -> Optional[float]:
-    """Geometric-mean events/sec ratio of ``results`` over ``previous``."""
-    ratios = [
-        r.events_per_sec / previous["events_per_sec"][r.name]
-        for r in results
-        if r.name in previous["events_per_sec"]
-        and previous["events_per_sec"][r.name] > 0
-        and r.events_per_sec > 0
-    ]
-    if not ratios:
-        return None
-    return math.exp(sum(math.log(x) for x in ratios) / len(ratios))
+            progress(f"[bench] {name}: production run, then reference run ...")
+        with _environ(_PRODUCTION_ENV):
+            digest = _digest(fn(scale, runner=runner))
+        reference = _digest(_reference_run(fn, scale))
+        if digest != reference:
+            raise BenchMismatchError(
+                f"{name}: the production run (jobs={runner.jobs}, caches on, "
+                f"{DEFAULT_SCHEDULER} scheduler) diverges from the reference "
+                f"run (serial, caches off, {HeapScheduler.name} scheduler, "
+                "observers on): result digest "
+                f"{digest[:12]} != {reference[:12]}"
+            )
+        table[name] = {"digest": digest, "verified_identical": True}
+    return table
 
 
 def run_bench(
     figures: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-    verify: bool = True,
     output: str = "BENCH_results.json",
     progress: Optional[Callable[[str], None]] = print,
-    trace_verify: bool = False,
-    attribution: bool = False,
-    telemetry_verify: bool = False,
-    repeats: int = 3,
-    schedulers: Optional[Sequence[str]] = None,
 ) -> Dict[str, Any]:
-    """The ``python -m repro bench`` entry point: bench, verify, persist.
-
-    By default each figure is timed best-of-3 and additionally run under
-    every registered scheduler other than the primary one (fingerprint
-    parity asserted), so the persisted file carries a per-scheduler
-    events/sec comparison.  Pass ``schedulers=()`` to skip the comparison
-    runs.
-    """
-    runner = ParallelSweepRunner(jobs=jobs)
-    primary_scheduler = os.environ.get(SCHEDULER_ENV) or DEFAULT_SCHEDULER
-    if schedulers is None:
-        schedulers = sorted(set(SCHEDULERS) - {primary_scheduler})
-    previous = _previous_baseline(output)
-    results = bench_figures(figures=figures, jobs=runner.jobs, verify=verify,
-                            progress=progress, trace_verify=trace_verify,
-                            attribution=attribution,
-                            telemetry_verify=telemetry_verify,
-                            repeats=repeats, schedulers=schedulers)
-    if previous is not None:
-        previous["geomean_speedup"] = _geomean_speedup(results, previous)
-    payload: Dict[str, Any] = {
+    """The ``python -m repro bench`` entry point: verify, then persist."""
+    payload = {
         "schema": BENCH_SCHEMA,
-        "created_unix": time.time(),
         "scale": "quick",
-        "jobs": runner.jobs,
-        "repeats": max(1, repeats),
-        "figures": {r.name: r.to_dict() for r in results},
-        "previous": previous,
-        "total_wall_s": sum(r.wall_s for r in results),
+        "figures": bench_figures(figures=figures, jobs=jobs,
+                                 progress=progress),
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        if progress:
-            progress(f"[bench] wrote {output}")
+    with open(output, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     if progress:
-        for r in results:
-            verdict = ("ok" if r.verified_identical
-                       else "UNVERIFIED" if r.verified_identical is None
-                       else "MISMATCH")
-            others = ""
-            if r.schedulers:
-                others = "  vs " + ", ".join(
-                    f"{sched}={info['events_per_sec']:.0f}"
-                    for sched, info in sorted(r.schedulers.items())
-                )
-            progress(
-                f"[bench] {r.name:12s} {r.wall_s:7.2f}s "
-                f"{r.events:>10d} events  {r.events_per_sec:>12.0f} ev/s  "
-                f"[{verdict}]{others}"
-            )
-        progress(f"[bench] total {payload['total_wall_s']:.2f}s "
-                 f"(jobs={runner.jobs}, repeats={payload['repeats']}, "
-                 f"scheduler={primary_scheduler})")
-        if previous is not None and previous.get("geomean_speedup"):
-            progress(f"[bench] geomean speedup vs previous baseline "
-                     f"({previous['schema']}): "
-                     f"{previous['geomean_speedup']:.2f}x")
+        for name, entry in payload["figures"].items():
+            progress(f"[bench] {name:14s} {entry['digest'][:16]}  [ok]")
+        progress(f"[bench] wrote {output}")
     return payload

@@ -1,8 +1,7 @@
 """Central registry of every ``repro-*/N`` artifact-schema identifier.
 
 Each machine-readable artifact the repo emits — bench results, latency
-profiles, lint reports, run ledgers, metrics snapshots, telemetry
-baselines — carries a ``"schema"`` field whose value names its layout
+profiles, lint reports, run ledgers, metrics snapshots — carries a ``"schema"`` field whose value names its layout
 and version.  Before this module those identifiers were string literals
 scattered across the emitting modules, so nothing stopped an emit site
 and its parse site from silently drifting apart, and nothing enumerated
@@ -27,19 +26,17 @@ from typing import Dict, FrozenSet
 
 #: family name -> the current schema id emitted for that artifact.
 SCHEMAS: Dict[str, str] = {
-    "bench": "repro-bench/3",
+    "bench": "repro-bench/4",
     "ledger": "repro-ledger/1",
     "lint": "repro-lint/2",
     "metrics": "repro-metrics/1",
     "metrics-samples": "repro-metrics-samples/1",
     "profile": "repro-profile/1",
-    "telemetry": "repro-telemetry/1",
 }
 
 #: Superseded ids that parsers may still accept but emitters must not use.
 LEGACY_SCHEMA_IDS: FrozenSet[str] = frozenset({
-    "repro-bench/1",
-    "repro-bench/2",
+    "repro-bench/3",
     "repro-lint/1",
 })
 

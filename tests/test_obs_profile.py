@@ -1,6 +1,6 @@
 """Latency-attribution tests: span stitching, the exact-sum guarantee,
 ProfileReport/flamegraph round trips, the profile CLI, per-job profiles,
-bench attribution, and the diagnostics cross-check."""
+and the diagnostics cross-check."""
 
 import json
 import os
@@ -30,7 +30,7 @@ from repro.obs import (
     write_flamegraph,
 )
 from repro.obs.profile import build_report
-from repro.perf.harness import bench_figures, fingerprint, resolve_figure
+from repro.perf.harness import _digest, resolve_figure
 
 TCK = 1.25
 
@@ -401,7 +401,7 @@ class TestLiveProfiling:
         plain = BENCH_FIGURES["fig16"](
             ExperimentScale.quick(), runner=ParallelSweepRunner(jobs=1)
         )
-        assert fingerprint(plain) == fingerprint(profiled_result)
+        assert _digest(plain) == _digest(profiled_result)
 
     def test_post_hoc_trace_profile_agrees_with_live(self, fig16_live_profile,
                                                      tmp_path):
@@ -585,19 +585,3 @@ class TestPerJobProfiles:
         ])
         assert load_trace(os.path.join(trace_dir, "pt.json"))
         assert ProfileReport.load(profile_path_for(profile_dir, "pt"))
-
-
-# -- bench attribution -------------------------------------------------------------
-
-
-class TestBenchAttribution:
-    def test_bench_rows_carry_attribution(self):
-        results = bench_figures(figures=["fig16"], verify=False,
-                                attribution=True)
-        (entry,) = results
-        attribution = entry.attribution
-        assert attribution is not None
-        assert attribution["request_phases_cycles"]
-        assert sum(attribution["request_phases_cycles"].values()) > 0
-        assert attribution["bound_by_system"]
-        assert entry.to_dict()["attribution"] == attribution

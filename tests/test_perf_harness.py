@@ -1,25 +1,30 @@
-"""Tests for the perf-regression harness (repro.perf).
+"""Tests for the result verifier (repro.perf).
 
-``python -m repro bench`` times every figure at quick scale and asserts the
-optimized path (plan cache on, optional fan-out) reproduces the
-serial/uncached reference bit-for-bit.  These tests exercise the harness
-itself on a single cheap figure so the full suite stays fast.
+``python -m repro bench`` runs every figure twice at quick scale — the
+production path and the serial/uncached/heap reference with every
+observer on — and asserts the two full-result digests match.  These tests
+exercise the verifier on fake and cheap figures so the suite stays fast.
 """
 
 import json
+import math
+import os
 
 import pytest
 
 from repro.core.metrics import Report
+from repro.experiments import ExperimentScale, ParallelSweepRunner
+from repro.experiments.fig13_coalescing import Fig13Result
+from repro.experiments.fig17_energy_breakdown import Fig17Result
+from repro.obs import current_recorder
 from repro.perf import (
     BENCH_SCHEMA,
     BenchMismatchError,
-    FigureBenchResult,
     bench_figures,
     fingerprint,
     run_bench,
 )
-from repro.perf.harness import BENCH_FIGURES
+from repro.perf.harness import BENCH_FIGURES, _digest
 
 
 def _report(cycles: int, label: str = "r") -> Report:
@@ -50,7 +55,36 @@ def test_fingerprint_of_reportless_object_is_empty():
     assert fingerprint({"numbers": [1, 2, 3]}) == []
 
 
-# -- harness mechanics -------------------------------------------------------------
+# -- the full-result digest --------------------------------------------------------
+
+
+def test_digest_is_exact_and_covers_every_field():
+    assert _digest(_report(10)) == _digest(_report(10))
+    assert _digest(_report(10)) != _digest(_report(11))
+    assert _digest({"x": [0.1]}) != _digest({"x": [math.nextafter(0.1, 1)]})
+    assert _digest({"x": 1}) != _digest({"y": 1})
+    assert _digest([1, 2]) != _digest([2, 1])
+
+
+def test_digest_reads_numpy_floats_as_python_floats():
+    np = pytest.importorskip("numpy")
+    assert _digest([np.float64(0.1)]) == _digest([0.1])
+
+
+@pytest.mark.parametrize("name, empty", [
+    ("fig13", Fig13Result([], [], 0.0, 0.0)),
+    ("fig17", Fig17Result({}, {}, {})),
+])
+def test_reportless_figures_have_content_digests(name, empty):
+    """fig13 and fig17 publish no Report, so a fingerprint comparison of
+    them is vacuous; the digest must still see their contents."""
+    result = BENCH_FIGURES[name](ExperimentScale.quick(),
+                                 runner=ParallelSweepRunner(jobs=1))
+    assert fingerprint(result) == fingerprint(empty) == []
+    assert _digest(result) != _digest(empty)
+
+
+# -- verifier mechanics ------------------------------------------------------------
 
 
 def test_unknown_figure_rejected():
@@ -70,9 +104,70 @@ def test_mismatch_error_is_an_assertion():
     assert issubclass(BenchMismatchError, AssertionError)
 
 
-def test_events_per_sec_guards_zero_wall():
-    result = FigureBenchResult(name="x", wall_s=0.0, events=100)
-    assert result.events_per_sec == 0.0
+def test_divergence_from_reference_raises(monkeypatch):
+    """A result that changes on the uncached path must fail the bench,
+    even when it carries no Report."""
+
+    def fragile(scale, runner):
+        return {"cycles": 2 if os.environ.get("REPRO_DISABLE_PLAN_CACHE")
+                else 1}
+
+    monkeypatch.setitem(BENCH_FIGURES, "fragile", fragile)
+    with pytest.raises(BenchMismatchError, match="fragile"):
+        bench_figures(figures=["fragile"], jobs=1)
+
+
+def test_each_figure_runs_twice_production_then_reference(monkeypatch):
+    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
+    monkeypatch.setenv("REPRO_DISABLE_PLAN_CACHE", "1")
+    calls = []
+
+    def probe(scale, runner):
+        recorder = current_recorder()
+        calls.append({
+            "scheduler": os.environ.get("REPRO_SCHEDULER"),
+            "plan_cache_off": os.environ.get("REPRO_DISABLE_PLAN_CACHE"),
+            "index_cache_off": os.environ.get("REPRO_DISABLE_INDEX_CACHE"),
+            "jobs": runner.jobs,
+            "traced": recorder is not None,
+            "profiled": bool(recorder and recorder.listeners),
+            "sampled": bool(recorder and recorder.metrics is not None),
+            "ledger": runner.ledger_path is not None,
+            "progress": runner.progress,
+        })
+        return {"ok": True}
+
+    monkeypatch.setitem(BENCH_FIGURES, "probe", probe)
+    bench_figures(figures=["probe"], jobs=2)
+    production, reference = calls
+    assert production == {
+        "scheduler": "wheel", "plan_cache_off": None, "index_cache_off": None,
+        "jobs": 2, "traced": False, "profiled": False, "sampled": False,
+        "ledger": False, "progress": False,
+    }
+    assert reference == {
+        "scheduler": "heap", "plan_cache_off": "1", "index_cache_off": "1",
+        "jobs": 1, "traced": True, "profiled": True, "sampled": True,
+        "ledger": True, "progress": True,
+    }
+    # The caller's environment is restored afterwards.
+    assert os.environ["REPRO_SCHEDULER"] == "heap"
+    assert os.environ["REPRO_DISABLE_PLAN_CACHE"] == "1"
+    assert current_recorder() is None
+
+
+def test_bench_cli_exits_nonzero_on_mismatch(monkeypatch, tmp_path, capsys):
+    from repro.__main__ import main
+
+    def fragile(scale, runner):
+        return [os.environ.get("REPRO_SCHEDULER")]
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("repro.perf.harness.BENCH_FIGURES",
+                        {"fragile": fragile})
+    assert main(["bench"]) == 1
+    assert "fragile" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_results.json").exists()
 
 
 # -- end-to-end on one cheap figure ------------------------------------------------
@@ -80,67 +175,20 @@ def test_events_per_sec_guards_zero_wall():
 
 def test_run_bench_writes_verified_baseline(tmp_path):
     output = tmp_path / "BENCH_results.json"
-    payload = run_bench(figures=["fig13"], jobs=1, verify=True,
-                        output=str(output), progress=None, repeats=1)
+    payload = run_bench(figures=["fig13"], jobs=1, output=str(output),
+                        progress=None)
 
-    assert payload["schema"] == BENCH_SCHEMA
+    assert payload["schema"] == BENCH_SCHEMA == "repro-bench/4"
     assert payload["scale"] == "quick"
-    assert payload["jobs"] == 1
-    assert payload["repeats"] == 1
-    assert payload["previous"] is None  # nothing overwritten
+    # Deterministic by construction: no timestamps, timings or job count.
+    assert set(payload) == {"schema", "scale", "figures"}
     entry = payload["figures"]["fig13"]
-    assert entry["wall_s"] > 0
-    assert entry["events"] > 0
-    assert entry["events_per_sec"] > 0
-    # The bit-identical check against the serial/uncached reference ran
-    # and passed — the whole point of the harness.
     assert entry["verified_identical"] is True
-    # repro-bench/3: the scheduler used, its occupancy, and a timed
-    # comparison run under every other registered scheduler (with
-    # fingerprint parity asserted inside bench_figures).
-    assert entry["scheduler"] == "wheel"
-    occ = entry["occupancy"]["wheel"]
-    assert occ["events_enqueued"] > 0
-    assert occ["cycles_started"] > 0
-    assert occ["max_batch"] >= 1
-    assert occ["avg_batch"] > 0
-    heap_run = entry["schedulers"]["heap"]
-    assert heap_run["events_per_sec"] > 0
-    assert heap_run["verified_identical"] is True
-    assert payload["total_wall_s"] >= entry["wall_s"]
+    reference = BENCH_FIGURES["fig13"](ExperimentScale.quick(),
+                                       runner=ParallelSweepRunner(jobs=1))
+    assert entry["digest"] == _digest(reference)
 
-    on_disk = json.loads(output.read_text())
-    assert on_disk["schema"] == BENCH_SCHEMA
-    assert on_disk["figures"]["fig13"]["verified_identical"] is True
-
-
-def test_run_bench_embeds_previous_baseline(tmp_path):
-    output = tmp_path / "BENCH_results.json"
-    output.write_text(json.dumps({
-        "schema": "repro-bench/2",
-        "created_unix": 123.0,
-        "figures": {"fig13": {"events_per_sec": 50.0, "wall_s": 1.0}},
-    }))
-    payload = run_bench(figures=["fig13"], jobs=1, verify=False,
-                        output=str(output), progress=None, repeats=1,
-                        schedulers=())
-    previous = payload["previous"]
-    assert previous["schema"] == "repro-bench/2"
-    assert previous["created_unix"] == 123.0
-    assert previous["events_per_sec"] == {"fig13": 50.0}
-    expected = payload["figures"]["fig13"]["events_per_sec"] / 50.0
-    assert previous["geomean_speedup"] == pytest.approx(expected)
-
-
-def test_bench_without_verify_skips_reference(tmp_path):
-    results = bench_figures(figures=["fig13"], jobs=1, verify=False)
-    (entry,) = results
-    assert entry.name == "fig13"
-    assert entry.verified_identical is None
-    assert entry.schedulers is None  # no comparison runs requested
-
-
-def test_bench_rejects_unknown_scheduler():
-    with pytest.raises(ValueError, match="unknown schedulers"):
-        bench_figures(figures=["fig13"], verify=False,
-                      schedulers=["splay-tree"])
+    first = output.read_text()
+    assert json.loads(first) == payload
+    run_bench(figures=["fig13"], jobs=2, output=str(output), progress=None)
+    assert output.read_text() == first

@@ -6,7 +6,8 @@ exact ``(time, FIFO-within-cycle)`` dispatch order of the reference binary
 heap.  This suite enforces that three ways:
 
 1. every benched figure scenario runs at quick scale under both
-   schedulers and must produce byte-identical Report fingerprints,
+   schedulers and must produce identical full-result digests (the
+   same digest ``python -m repro bench`` records),
 2. a hypothesis property drives both schedulers through random
    push/drain interleavings and asserts identical pop order, and
 3. targeted unit tests cover the new engine surface built on the
@@ -14,14 +15,12 @@ heap.  This suite enforces that three ways:
    accounting, the delay histogram).
 """
 
-from dataclasses import fields, is_dataclass
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import ExperimentScale, ParallelSweepRunner
-from repro.perf.harness import BENCH_FIGURES, fingerprint
+from repro.perf.harness import BENCH_FIGURES, _digest
 from repro.sim import (
     SCHEDULERS,
     CalendarScheduler,
@@ -39,27 +38,6 @@ PARITY_SCENARIOS = [
 ]
 
 
-def _digest(obj):
-    """Canonical nested-tuple digest of a whole figure result.
-
-    Stricter than :func:`fingerprint`: besides the Report tuples it
-    captures every derived series and scalar (some figures — fig13's
-    chip profiles, fig17's energy shares — publish no Report at all),
-    with floats compared exactly.
-    """
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return tuple(
-            (f.name, _digest(getattr(obj, f.name))) for f in fields(obj)
-        )
-    if isinstance(obj, dict):
-        return tuple((key, _digest(value)) for key, value in obj.items())
-    if isinstance(obj, (list, tuple)):
-        return tuple(_digest(value) for value in obj)
-    if isinstance(obj, (int, float, str, bool, type(None))):
-        return obj
-    return repr(obj)
-
-
 class TestFigureParity:
     @pytest.mark.parametrize("name", PARITY_SCENARIOS)
     def test_heap_and_wheel_fingerprints_identical(self, name, monkeypatch):
@@ -69,7 +47,7 @@ class TestFigureParity:
             runner = ParallelSweepRunner(jobs=1)
             result = BENCH_FIGURES[name](ExperimentScale.quick(),
                                          runner=runner)
-            digests[scheduler] = (fingerprint(result), _digest(result))
+            digests[scheduler] = _digest(result)
         reference = digests.pop("heap")
         for scheduler, digest in digests.items():
             assert digest == reference, (

@@ -1,13 +1,11 @@
 """Tests for the fleet-telemetry layer (repro.obs.telemetry).
 
-Four pieces, four contracts: the metrics registry must snapshot
+Three pieces, three contracts: the metrics registry must snapshot
 deterministically and merge worker deltas exactly; the run ledger must
-round-trip every lifecycle event and summarize a campaign correctly; the
-progress line must stay off stdout; and the bench regression gate must
-fail on a synthetic regression, pass on the committed baseline, and stay
-byte-deterministic.  The capstone test proves telemetry is observational:
-a real sweep's fingerprint is bit-identical with the ledger and progress
-line enabled.
+round-trip every lifecycle event and summarize a campaign correctly; and
+the progress line must stay off stdout.  The capstone test proves
+telemetry is observational: a real sweep's full-result digest is
+bit-identical with the ledger and progress line enabled.
 """
 
 import io
@@ -21,25 +19,20 @@ from repro.core.config import Algorithm
 from repro.experiments import ExperimentScale, ParallelSweepRunner, SweepJob
 from repro.experiments.runner import run_step_sweep
 from repro.obs.telemetry import (
-    DEFAULT_THRESHOLD,
-    CompareError,
     LEDGER_EVENTS,
     LedgerError,
     LedgerWriter,
     MetricsRegistry,
     ProgressLine,
-    compare_bench,
     diff_snapshots,
-    load_bench_payload,
     param_digest,
     read_ledger,
-    render_compare,
     render_status,
     summarize_ledger,
     traceback_digest,
     worker_id,
 )
-from repro.perf import fingerprint
+from repro.perf.harness import _digest
 
 
 # -- metrics registry --------------------------------------------------------------
@@ -247,86 +240,6 @@ def test_progress_line_disabled_is_a_no_op():
     assert line.done == 1            # counting still works
 
 
-# -- bench regression gate ---------------------------------------------------------
-
-
-def _bench_payload(figures):
-    return {
-        "schema": "repro-bench/2",
-        "figures": {
-            name: {"events_per_sec": eps, "wall_s": wall}
-            for name, (eps, wall) in figures.items()
-        },
-    }
-
-
-def test_compare_flags_synthetic_regression():
-    old = _bench_payload({"fig12": (1000.0, 10.0), "fig14": (500.0, 5.0)})
-    # fig12 at 50% of baseline: well past the 25% regression margin.
-    new = _bench_payload({"fig12": (500.0, 20.0), "fig14": (510.0, 4.9)})
-    report = compare_bench(old, new, threshold=DEFAULT_THRESHOLD)
-    assert report["ok"] is False
-    assert report["regressions"] == ["fig12"]
-    verdicts = {row["name"]: row["verdict"] for row in report["figures"]}
-    assert verdicts == {"fig12": "regression", "fig14": "ok"}
-    (fig12,) = [r for r in report["figures"] if r["name"] == "fig12"]
-    assert fig12["throughput_ratio"] == pytest.approx(0.5)
-    assert fig12["wall_delta_s"] == pytest.approx(10.0)
-    assert "REGRESSION: fig12" in render_compare(report)
-
-
-def test_compare_verdict_vocabulary():
-    old = _bench_payload({
-        "gone": (100.0, 1.0), "same": (100.0, 1.0),
-        "faster": (100.0, 1.0), "pooled": (0.0, 1.0),
-    })
-    new = _bench_payload({
-        "same": (101.0, 1.0), "faster": (200.0, 0.5),
-        "pooled": (0.0, 1.0), "added": (50.0, 2.0),
-    })
-    report = compare_bench(old, new)
-    verdicts = {row["name"]: row["verdict"] for row in report["figures"]}
-    assert verdicts == {
-        "gone": "removed", "same": "ok", "faster": "improved",
-        "pooled": "skipped", "added": "new",
-    }
-    # new/removed/skipped never fail the gate.
-    assert report["ok"] is True
-
-
-def test_compare_is_deterministic_and_threshold_checked():
-    old = _bench_payload({"a": (10.0, 1.0)})
-    new = _bench_payload({"a": (9.0, 1.1)})
-    assert compare_bench(old, new) == compare_bench(old, new)
-    with pytest.raises(CompareError, match="threshold"):
-        compare_bench(old, new, threshold=0.0)
-    with pytest.raises(CompareError, match="threshold"):
-        compare_bench(old, new, threshold=1.5)
-
-
-def test_load_bench_payload_rejects_foreign_files(tmp_path):
-    missing = str(tmp_path / "nope.json")
-    with pytest.raises(CompareError, match="cannot read"):
-        load_bench_payload(missing)
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"schema": "repro-profile/1"}')
-    with pytest.raises(CompareError, match="not a bench payload"):
-        load_bench_payload(str(bad))
-
-
-def test_committed_baseline_passes_against_itself():
-    """The gate's CI wiring must be self-consistent: the committed
-    baseline compared against itself is all-ok by construction."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    baseline = os.path.join(root, "BENCH_results.json")
-    payload = load_bench_payload(baseline)
-    report = compare_bench(payload, payload)
-    assert report["ok"] is True
-    assert report["regressions"] == []
-    assert all(row["verdict"] in ("ok", "skipped")
-               for row in report["figures"])
-
-
 # -- CLI ---------------------------------------------------------------------------
 
 
@@ -360,36 +273,6 @@ def test_status_cli_unreadable_ledger_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bench_compare_cli_gate(tmp_path, capsys):
-    """--compare OLD --against NEW compares without benching: exit 1 on a
-    synthetic >=25% regression, 0 on identical payloads, 2 on garbage."""
-    from repro.__main__ import main
-
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text(json.dumps(_bench_payload({"fig12": (1000.0, 10.0)})))
-    new.write_text(json.dumps(_bench_payload({"fig12": (600.0, 16.0)})))
-    assert main(["bench", "--compare", str(old), "--against", str(new)]) == 1
-    assert "regression" in capsys.readouterr().out
-    assert main(["bench", "--compare", str(old), "--against", str(old)]) == 0
-    assert "no figure below threshold" in capsys.readouterr().out
-    # A looser threshold lets the same delta through.
-    assert main(["bench", "--compare", str(old), "--against", str(new),
-                 "--threshold", "0.5"]) == 0
-    capsys.readouterr()
-    bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    assert main(["bench", "--compare", str(bad), "--against", str(new)]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_against_without_compare_is_a_usage_error(tmp_path):
-    from repro.__main__ import main
-
-    with pytest.raises(SystemExit):
-        main(["bench", "--against", str(tmp_path / "x.json")])
-
-
 # -- telemetry is observational ----------------------------------------------------
 
 
@@ -405,7 +288,7 @@ def _seeding_job(scale):
 
 
 def test_fingerprint_identical_with_telemetry_enabled(tmp_path):
-    """The acceptance criterion: a real sweep's result fingerprint is
+    """The acceptance criterion: a real sweep's full-result digest is
     bit-identical with the ledger and progress line on."""
     scale = replace(ExperimentScale.quick(),
                     genome_scale=0.03, read_scale=0.5, num_datasets=1)
@@ -418,7 +301,7 @@ def test_fingerprint_identical_with_telemetry_enabled(tmp_path):
     )
     instrumented = instrumented_runner.run([_seeding_job(scale)],
                                            label="verify")
-    assert fingerprint(bare) == fingerprint(instrumented)
+    assert _digest(bare) == _digest(instrumented)
     # ...and the telemetry actually recorded the run.
     events = read_ledger(str(tmp_path / "runs.jsonl"))
     finished = [e for e in events if e["event"] == "finished"]
