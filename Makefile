@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench-quick bench lint lint-cache-parity scenarios-smoke dsl-smoke trace-smoke profile-smoke telemetry-smoke
+.PHONY: test bench-quick bench lint lint-cache-parity dsl-smoke trace-smoke profile-smoke telemetry-smoke
 
 ## Tier-1: the full unit/integration/property suite.
 test:
@@ -44,21 +44,6 @@ lint-cache-parity:
 	cmp /tmp/repro-lint-cold.json /tmp/repro-lint-warm.json
 	@echo "lint-cache-parity ok: cold and warm reports byte-identical"
 	rm -f /tmp/repro-lint-parity-cache.json /tmp/repro-lint-cold.json /tmp/repro-lint-warm.json
-
-## Scenario smoke: every registered scenario runs end-to-end at quick
-## scale through the scenario layer and must yield a result object
-## (tests/test_scenarios.py holds the stricter non-empty-Report gate).
-scenarios-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
-	from repro.experiments.scenarios import SCENARIOS, ensure_registered; \
-	from repro.experiments import ExperimentScale, ParallelSweepRunner; \
-	ensure_registered(); \
-	runner = ParallelSweepRunner(jobs=1); \
-	scale = ExperimentScale.quick(); \
-	results = {name: spec.run(scale, runner=runner) \
-	           for name, spec in SCENARIOS.items()}; \
-	assert all(r is not None for r in results.values()), results; \
-	print(f'scenarios-smoke ok: {len(results)} scenarios')"
 
 ## DSL smoke: both example payloads must validate, then run end-to-end
 ## at quick scale through the scenario layer (the same gate CI applies

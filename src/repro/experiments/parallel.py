@@ -31,10 +31,10 @@ Fleet telemetry (see :mod:`repro.obs.telemetry` and docs/OBSERVABILITY.md,
 * ``ledger_path`` (argument or ``REPRO_LEDGER``) appends one JSONL
   lifecycle event per job — ``queued`` / ``started`` / ``heartbeat`` /
   ``finished`` / ``failed`` — with wall time, worker id, parameter
-  digest, index-cache deltas, and a result-fingerprint digest.  Workers
-  produce their own ``started``/``finished``/``failed`` events and the
-  parent merges them, so the ledger schema is identical serially and
-  pooled.
+  digest, index-cache and step-memo deltas, and a result-fingerprint
+  digest.  Workers produce their own ``started``/``finished``/``failed``
+  events and the parent merges them, so the ledger schema is identical
+  serially and pooled.
 * ``progress=True`` (or ``REPRO_PROGRESS=1``) draws an opt-in, stderr-only
   progress line as jobs complete.
 * The shared :func:`repro.obs.telemetry.get_registry` metrics registry
@@ -49,6 +49,11 @@ event, traceback digest), the remaining jobs still run and are recorded,
 and the first failure is re-raised once the batch has drained, so caller
 semantics (exceptions propagate) are preserved while the ledger stays
 complete.
+
+Step-run memo: a runner owns a :class:`~repro.experiments.runner.
+StepMemo` for its lifetime, and the serial path activates it while its
+jobs execute, so a later figure on the same runner gets back the step
+runs an earlier one simulated.  Pool workers never see it.
 
 All telemetry is observational: nothing in it feeds back into job
 execution, and ``python -m repro bench`` proves full-result digests are
@@ -77,6 +82,11 @@ from typing import (
     Tuple,
 )
 
+from repro.experiments.runner import (
+    StepMemo,
+    active_step_memo,
+    step_memo_stats,
+)
 from repro.genomics import index_cache
 from repro.obs.telemetry.ledger import (
     LedgerWriter,
@@ -244,13 +254,15 @@ def _execute_job_with_meta(
 
     Runs the job (with per-job trace/profile sessions when configured),
     times it, and — with ``telemetry`` — captures the ledger events,
-    index-cache deltas, and result-fingerprint digest the parent merges.
+    index-cache and step-memo deltas, and result-fingerprint digest the
+    parent merges.
     Exceptions are captured into the outcome rather than propagated, so
     one failure cannot silence the rest of a batch's records.
     """
     me = worker_id()
     registry_before = get_registry().snapshot() if capture_registry else None
     cache_before = index_cache.cache_stats() if telemetry else None
+    memo_before = step_memo_stats() if telemetry else None
     # Wall-clock here is fleet telemetry (job timing *is* the payload);
     # it never reaches simulated state, which only sees Engine.now.
     started_wall = time.time()  # repro: allow[no-wall-clock] -- ledger event timestamps are host-side observability; simulated results never see them
@@ -292,11 +304,15 @@ def _execute_job_with_meta(
             key: cache_after[key] - cache_before[key] for key in cache_after
         }
         index_cache.publish_cache_metrics(cache_delta)
+        memo_after = step_memo_stats()
         events.append({
             "event": "finished", "job": job.key, "worker": me,
             "t_wall": started_wall + wall, "wall_s": wall,
             "params": job.params_digest(),
             "index_cache": cache_delta,
+            "step_memo": {
+                key: memo_after[key] - memo_before[key] for key in memo_after
+            },
             "fingerprint": _result_fingerprint_digest(result),
         })
         outcome.events = events
@@ -371,6 +387,8 @@ class ParallelSweepRunner:
         self.last_run_parallel = False
         #: ``{job key: formatted traceback}`` of the last batch's failures.
         self.last_failures: Dict[str, str] = {}
+        #: Step runs this runner has simulated on its serial path.
+        self.step_memo = StepMemo()
 
     @staticmethod
     def _jobs_from_env() -> int:
@@ -547,21 +565,23 @@ class ParallelSweepRunner:
         telemetry = writer is not None
         outcomes: Dict[str, JobOutcome] = {}
         last_beat = time.time()  # repro: allow[no-wall-clock] -- heartbeat cadence is host-side telemetry, not simulated time
-        for job in jobs:
-            now = time.time()  # repro: allow[no-wall-clock] -- heartbeat cadence is host-side telemetry, not simulated time
-            if writer is not None and now - last_beat >= self.heartbeat_s:
-                # repro: allow[transitive-wall-clock] -- heartbeat lines
-                # are host-side liveness telemetry, never simulated state.
-                writer.emit("heartbeat", done=len(outcomes),
-                            running=[job.key])
-                last_beat = now
-            outcome = _execute_job_with_meta(
-                job, self.trace_dir, self.profile_dir,
-                telemetry=telemetry, capture_registry=False,
-            )
-            outcomes[job.key] = outcome
-            self._absorb(outcome, writer, progress_line,
-                         merge_registry=False)
+        with active_step_memo(self.step_memo):
+            for job in jobs:
+                now = time.time()  # repro: allow[no-wall-clock] -- heartbeat cadence is host-side telemetry, not simulated time
+                if writer is not None and now - last_beat >= self.heartbeat_s:
+                    # repro: allow[transitive-wall-clock] -- heartbeat
+                    # lines are host-side liveness telemetry, never
+                    # simulated state.
+                    writer.emit("heartbeat", done=len(outcomes),
+                                running=[job.key])
+                    last_beat = now
+                outcome = _execute_job_with_meta(
+                    job, self.trace_dir, self.profile_dir,
+                    telemetry=telemetry, capture_registry=False,
+                )
+                outcomes[job.key] = outcome
+                self._absorb(outcome, writer, progress_line,
+                             merge_registry=False)
         return outcomes
 
     def _run_pool(

@@ -5,16 +5,27 @@ System construction is the backend registry's job
 experiment layer); this module owns the *scale* presets mapping the
 paper's workloads down to simulable sizes and the cumulative
 optimization sweep every step figure replays.
+
+Step runs are memoized per sweep runner: while a serial
+:class:`~repro.experiments.parallel.ParallelSweepRunner` executes its
+jobs it activates its :class:`StepMemo`, and :func:`run_step_sweep`
+returns a copy of any run that runner has already simulated with the
+same inputs (fig17 and sec6g replay the ladders of fig12/fig14/fig15).
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.config import Algorithm, BeaconConfig, OptimizationFlags
 from repro.core.registry import build_system
 from repro.core.metrics import Report
+from repro.genomics.index_cache import content_key, reads_key
 from repro.genomics.workloads import (
     KMER_DATASET,
     SEEDING_DATASETS,
@@ -23,6 +34,7 @@ from repro.genomics.workloads import (
     make_kmer_workload,
     make_seeding_workload,
 )
+from repro.sim.engine import Engine
 
 
 @dataclass(frozen=True)
@@ -155,6 +167,58 @@ class SweepResult:
         return self.full.speedup_vs(self.cpu)
 
 
+class StepMemo:
+    """Reports of the runs one sweep runner has already simulated.
+
+    A key holds every input a run reads: backend, config, flags, system
+    label, algorithm, the workload's content and the run kwargs.  Reports
+    are stored and handed out as copies (``extra`` is a mutable dict), so
+    no hit aliases another result.
+    """
+
+    def __init__(self) -> None:
+        self.reports: Dict[Tuple[Any, ...], Report] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def stats(self) -> Dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses}
+
+    def report(self, key: Tuple[Any, ...],
+               simulate: Callable[[], Report]) -> Report:
+        """The stored report for ``key``, else ``simulate()`` (stored)."""
+        stored = self.reports.get(key)
+        if stored is not None:
+            self.hits += 1
+            return copy.deepcopy(stored)
+        self.misses += 1
+        report = simulate()
+        self.reports[key] = copy.deepcopy(report)
+        return report
+
+
+#: The memo of the serial runner whose jobs are executing, else ``None``.
+_active_memo: Optional[StepMemo] = None
+
+
+@contextlib.contextmanager
+def active_step_memo(memo: StepMemo) -> Iterator[StepMemo]:
+    """Let :func:`run_step_sweep` use ``memo`` for the enclosed block."""
+    global _active_memo
+    previous, _active_memo = _active_memo, memo
+    try:
+        yield memo
+    finally:
+        _active_memo = previous
+
+
+def step_memo_stats() -> Dict[str, int]:
+    """Counters of the active memo (zeros when none is active)."""
+    if _active_memo is None:
+        return {"hits": 0, "misses": 0}
+    return _active_memo.stats()
+
+
 def run_step_sweep(
     system: str,
     algorithm: Algorithm,
@@ -165,12 +229,33 @@ def run_step_sweep(
     with_cpu: bool = False,
     **run_kwargs,
 ) -> SweepResult:
-    """Run the paper's cumulative optimization sweep for one dataset."""
+    """Run the paper's cumulative optimization sweep for one dataset.
+
+    Inside a serial sweep runner every run goes through the runner's
+    :class:`StepMemo`, except while a tracer is installed: a traced or
+    profiled job simulates, and records, every run.
+    """
+    memo = _active_memo if Engine.default_tracer is None else None
+    inputs: Tuple[Any, ...] = ()
+    if memo is not None:
+        inputs = (algorithm, workload.spec, content_key(workload.reference),
+                  reads_key(workload.reads), tuple(workload.read_origins),
+                  tuple(sorted(run_kwargs.items())))
+
+    def run(backend: str, config: BeaconConfig, flags: OptimizationFlags,
+            label: str = "") -> Report:
+        def simulate() -> Report:
+            sys_ = build_system(backend, config, flags, label=label)
+            return sys_.run_algorithm(algorithm, workload, **run_kwargs)
+
+        if memo is None:
+            return simulate()
+        return memo.report((backend, config, flags, label) + inputs, simulate)
+
     config = scale.config_for(algorithm)
     steps: List[StepResult] = []
     for label, flags in OptimizationFlags.cumulative_steps(system, algorithm):
-        sys_ = build_system(system, config, flags, label=f"{system} {label}")
-        report = sys_.run_algorithm(algorithm, workload, **run_kwargs)
+        report = run(system, config, flags, label=f"{system} {label}")
         step = StepResult(label=label, flags=flags, report=report)
         if steps:
             step.step_speedup = report.speedup_vs(steps[-1].report)
@@ -178,16 +263,12 @@ def run_step_sweep(
     result = SweepResult(system=system, algorithm=algorithm,
                          dataset=workload.name, steps=steps)
     if with_ideal:
-        full_flags = steps[-1].flags
-        twin = build_system(system, config.idealized(), full_flags,
-                            label=f"{system} ideal")
-        result.ideal = twin.run_algorithm(algorithm, workload, **run_kwargs)
+        result.ideal = run(system, config.idealized(), steps[-1].flags,
+                           label=f"{system} ideal")
     if baseline is not None:
-        base = build_system(baseline, config, OptimizationFlags.vanilla())
-        result.baseline = base.run_algorithm(algorithm, workload, **run_kwargs)
+        result.baseline = run(baseline, config, OptimizationFlags.vanilla())
     if with_cpu:
-        cpu = build_system("cpu", config, OptimizationFlags.vanilla())
-        result.cpu = cpu.run_algorithm(algorithm, workload)
+        result.cpu = run("cpu", config, OptimizationFlags.vanilla())
     return result
 
 

@@ -25,7 +25,8 @@ Ledger line fields (all lines)::
 
 plus per-event payload fields — ``job`` (the sweep key), ``scenario``,
 ``params`` (the job's parameter digest), ``wall_s``, ``index_cache``
-(hit/miss/... deltas), ``fingerprint`` (result digest), ``error`` /
+(hit/miss/... deltas), ``step_memo`` (the sweep runner's step-run memo
+hit/miss deltas), ``fingerprint`` (result digest), ``error`` /
 ``traceback_sha256`` on failure, ``running`` on heartbeats, and the
 job/failure totals on ``campaign-end``.  Lines are JSON with sorted
 keys; ``seq`` is the parent's merge order, so a ledger sorts stably even
@@ -220,6 +221,9 @@ class LedgerSummary:
     per_worker: Dict[str, int] = field(default_factory=dict)
     #: Summed index-cache deltas across finished jobs.
     index_cache: Dict[str, float] = field(default_factory=dict)
+    #: Summed step-memo hit/miss deltas across finished jobs (a hit is a
+    #: run returned from the memo instead of simulated).
+    step_memo: Dict[str, int] = field(default_factory=dict)
     #: ``(job key, traceback digest, error head)`` per failure.
     failures: List[Tuple[str, str, str]] = field(default_factory=list)
     #: Scenario names seen on campaign-begin events.
@@ -239,6 +243,7 @@ class LedgerSummary:
             "slowest": [list(pair) for pair in self.slowest],
             "per_worker": dict(sorted(self.per_worker.items())),
             "index_cache": dict(sorted(self.index_cache.items())),
+            "step_memo": dict(sorted(self.step_memo.items())),
             "failures": [list(row) for row in self.failures],
             "scenarios": list(self.scenarios),
         }
@@ -280,6 +285,8 @@ def summarize_ledger(events: Iterable[Mapping[str, Any]],
                 summary.index_cache[key] = (
                     summary.index_cache.get(key, 0) + value
                 )
+            for key, value in (event.get("step_memo") or {}).items():
+                summary.step_memo[key] = summary.step_memo.get(key, 0) + value
         elif name == "failed":
             summary.failures.append((
                 job,
@@ -338,6 +345,11 @@ def render_status(summary: LedgerSummary) -> str:
             for key, value in sorted(summary.index_cache.items())
         )
         lines.append(f"[status] index cache: {cache}")
+    if summary.step_memo:
+        memo = "  ".join(
+            f"{key}={value}" for key, value in sorted(summary.step_memo.items())
+        )
+        lines.append(f"[status] step memo: {memo}")
     if summary.slowest:
         lines.append("[status] slowest jobs:")
         for key, wall in summary.slowest:

@@ -279,12 +279,12 @@ def test_ledger_schema_identical_serial_and_pooled(tmp_path):
 
 
 def test_sweep_determinism_serial_twice_and_parallel():
-    """One quick-scale sweep, twice serially and once through the pool:
-    the Report cycle counts and energy totals must be identical."""
+    """One quick-scale sweep on two fresh serial runners (so the second
+    is simulated, not taken from the first's step memo) and once through
+    the pool: the Report cycle counts and energy totals must be identical."""
     scale = _tiny_scale()
-    serial = ParallelSweepRunner(jobs=1)
-    first = serial.run(_seeding_jobs(scale))
-    second = serial.run(_seeding_jobs(scale))
+    first = ParallelSweepRunner(jobs=1).run(_seeding_jobs(scale))
+    second = ParallelSweepRunner(jobs=1).run(_seeding_jobs(scale))
     pool_runner = ParallelSweepRunner(jobs=2)
     with warnings.catch_warnings():
         # If the sandbox cannot fork a pool the runner degrades to serial,
