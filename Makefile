@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench-quick bench lint lint-cache-parity dsl-smoke trace-smoke profile-smoke telemetry-smoke
+.PHONY: test bench-quick bench lint lint-cache-parity dsl-smoke trace-smoke profile-smoke
 
 ## Tier-1: the full unit/integration/property suite.
 test:
@@ -65,30 +65,6 @@ trace-smoke:
 	assert all('ts' in e and 'dur' in e for e in events if e.get('ph') == 'X'); \
 	print(f'trace-smoke ok: {len(events)} events')"
 	rm -f trace.json metrics.csv
-
-## Fleet-telemetry smoke: a tiny sweep writes a run ledger, `status`
-## summarizes it, and the summary must be non-empty (every job finished,
-## per-job wall times and worker ids recorded).
-telemetry-smoke:
-	rm -f telemetry-smoke.jsonl
-	PYTHONPATH=$(PYTHONPATH) REPRO_LEDGER=telemetry-smoke.jsonl \
-		$(PYTHON) -m repro run fig3 --quick
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro status telemetry-smoke.jsonl
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
-	import json, subprocess, sys; \
-	out = subprocess.run( \
-	    [sys.executable, '-m', 'repro', 'status', \
-	     'telemetry-smoke.jsonl', '--json'], \
-	    capture_output=True, text=True, check=True).stdout; \
-	summary = json.loads(out); \
-	assert summary['total_jobs'] > 0, summary; \
-	assert summary['finished'] == summary['total_jobs'], summary; \
-	assert summary['failed'] == 0, summary; \
-	assert summary['slowest'], summary; \
-	assert summary['per_worker'], summary; \
-	print(f\"telemetry-smoke ok: {summary['finished']} jobs, \" \
-	      f\"{summary['elapsed_s']:.1f}s\")"
-	rm -f telemetry-smoke.jsonl
 
 ## Profiling smoke: one profiled figure run; check the ProfileReport's
 ## schema and that every system's phase decomposition sums to its total

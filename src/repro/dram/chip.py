@@ -7,7 +7,7 @@ that data while the controller serves requests.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -19,18 +19,28 @@ class ChipAccessCounters:
 
     def __init__(self, geometry: DimmGeometry) -> None:
         self.geometry = geometry
-        # Flat Python ints: the controller credits a handful of chips per
-        # issued request, where a numpy fancy-index add costs microseconds
-        # of dispatch for a 16-element slice.
         self._chips_per_rank = geometry.chips_per_rank
-        self.bursts: List[int] = [0] * (geometry.ranks * geometry.chips_per_rank)
+        # Bursts per accessed group, keyed by (flat first chip, width): the
+        # controller credits one group per issued request, so recording is
+        # one dict update however wide the group; per-chip counts are
+        # expanded only when read.
+        self._group_bursts: Dict[Tuple[int, int], int] = {}
 
     def record(self, rank: int, chip_group: int, chips_per_group: int, bursts: int) -> None:
         """Credit ``bursts`` bursts to every chip in the accessed group."""
-        base = rank * self._chips_per_rank + chip_group * chips_per_group
-        counts = self.bursts
-        for index in range(base, base + chips_per_group):
-            counts[index] += bursts
+        key = (rank * self._chips_per_rank + chip_group * chips_per_group,
+               chips_per_group)
+        totals = self._group_bursts
+        totals[key] = totals.get(key, 0) + bursts
+
+    @property
+    def bursts(self) -> List[int]:
+        """Total bursts per (rank, chip), flat."""
+        counts = [0] * (self.geometry.ranks * self._chips_per_rank)
+        for (first, width), total in self._group_bursts.items():
+            for index in range(first, first + width):
+                counts[index] += total
+        return counts
 
     def per_chip(self) -> List[int]:
         """Total bursts per chip position, summed over ranks."""

@@ -13,28 +13,26 @@ hits, then age.  ``policy="fcfs"`` disables the row-hit bypass for the
 ablation study.
 
 This module is the simulator's hottest code path; it trades a little
-elegance for speed (flat bank arrays, plan objects reused between the
-scheduling decision and the issue).
+elegance for speed (plans reused between the scheduling decision and the
+issue).  The DIMM owns the bank and bus state: the controller asks it for a
+timing plan per queued request and commits the one it issues.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
-from repro.dram.bank import Bank
 from repro.dram.dimm import Dimm
 from repro.dram.request import MemoryRequest
 from repro.sim.component import Component
 from repro.sim.queueing import BoundedQueue
 
-#: A timing plan: (start, pre_data, transfer, activate, banks, chip_span).
-#: ``start`` is *now-independent*: the earliest cycle the bank/bus state
-#: permits, ignoring the current time; the effective start of an issue is
-#: ``max(now, start)``.  That makes a plan valid for as long as the DIMM's
-#: state epoch is unchanged, which is what the plan cache keys on.
-Plan = Tuple[int, int, int, bool, List[Bank], range]
+#: A timing plan from :meth:`Dimm.plan_access`:
+#: ``(start, pre_data, activate, row_state)``.  ``start`` is
+#: now-independent: the earliest cycle the bank/bus state permits, ignoring
+#: the current time; the effective start of an issue is ``max(now, start)``.
+Plan = Tuple[int, int, bool, str]
 
 
 class DimmController(Component):
@@ -71,23 +69,10 @@ class DimmController(Component):
         #: The issue path updates four counters per request; it writes the
         #: scope's dict directly rather than paying a ``stats.add`` call each.
         self._counters = self.stats.counters
-        # Per-DIMM constants hoisted out of the planning loop (both the
+        # Per-DIMM constants hoisted out of the issue path (both the
         # timing and geometry dataclasses are frozen for the DIMM's life).
-        self._timing = dimm.timing
+        self._tbl = dimm.timing.tbl
         self._burst_bytes_per_chip = dimm.geometry.burst_bytes_per_chip
-        #: Cached plans live on each request's ``plan_entry`` slot as
-        #: (global epoch, bank epoch, bus-epoch digest, plan).  Validity is
-        #: two-tier: an unchanged global epoch (a scheduling pass that
-        #: issued nothing) validates every entry in O(1); after an issue,
-        #: the per-bank/per-bus epochs revalidate entries that do not share
-        #: state with what was issued.
-        #: ``REPRO_DISABLE_PLAN_CACHE=1`` forces the always-recompute path
-        #: (the perf harness uses it to verify bit-identical results).
-        self._plan_cache_enabled = os.environ.get(
-            "REPRO_DISABLE_PLAN_CACHE", ""
-        ).lower() not in ("1", "true", "yes")
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
 
     # -- submission -------------------------------------------------------------
 
@@ -182,76 +167,6 @@ class DimmController(Component):
         if self.queue and next_start is not None:
             self._wake(max(1, next_start - self.engine.now))
 
-    def _compute_plan(self, request: MemoryRequest) -> Plan:
-        """Derive the now-independent timing plan for a request.
-
-        The command phase may begin while the chip data bus still serves an
-        earlier transfer — only the *data windows* serialize on the bus —
-        which is what lets accesses to different banks pipeline.
-        """
-        coord = request.coord
-        dimm = self.dimm
-        timing = self._timing
-        group_bytes = self._burst_bytes_per_chip * coord.chips_per_group
-        transfer = -(-request.size // group_bytes) * timing.tbl
-        first_chip = coord.first_chip
-        chips = range(first_chip, first_chip + coord.chips_per_group)
-        rank, bank_index, row = coord.rank, coord.bank, coord.row
-        banks = dimm.bank_group(
-            rank, first_chip, coord.chips_per_group, bank_index
-        )
-        pre_data, activate = banks[0].classify(row, timing, request.is_write)
-        # All constraints below are pure maxima over bank/bus state, so the
-        # earliest start relative to any ``now`` is just ``max(now, start)``
-        # — computing from 0 yields a plan reusable across wakeups.
-        start = 0
-        chip_free, index = dimm.chip_free_window(rank, first_chip)
-        for bank in banks:
-            s = bank.earliest_start(start, activate, timing)
-            if s > start:
-                start = s
-            bus = chip_free[index] - pre_data
-            if bus > start:
-                start = bus
-            index += 1
-        return start, pre_data, transfer, activate, banks, chips
-
-    def _plan(self, request: MemoryRequest) -> Plan:
-        """Cached timing plan, invalidated when the DIMM's state advances."""
-        if not self._plan_cache_enabled:
-            return self._compute_plan(request)
-        dimm = self.dimm
-        epoch = dimm.state_epoch
-        cached = request.plan_entry
-        if cached is not None:
-            if cached[0] == epoch:
-                self.plan_cache_hits += 1
-                return cached[3]
-            coord = request.coord
-            bank_ep = dimm.bank_epoch(coord.rank, coord.bank)
-            bus_ep = dimm.bus_epoch_sum(
-                coord.rank, coord.first_chip, coord.chips_per_group
-            )
-            if cached[1] == bank_ep and cached[2] == bus_ep:
-                # State advanced elsewhere on the DIMM; this plan's banks
-                # and buses did not move.  Refresh the fast-path stamp.
-                request.plan_entry = (epoch, bank_ep, bus_ep, cached[3])
-                self.plan_cache_hits += 1
-                return cached[3]
-        else:
-            coord = request.coord
-            bank_ep = dimm.bank_epoch(coord.rank, coord.bank)
-            bus_ep = dimm.bus_epoch_sum(
-                coord.rank, coord.first_chip, coord.chips_per_group
-            )
-        plan = self._compute_plan(request)
-        request.plan_entry = (epoch, bank_ep, bus_ep, plan)
-        self.plan_cache_misses += 1
-        return plan
-
-    def _earliest_start(self, request: MemoryRequest) -> int:
-        return max(self.engine.now, self._plan(request)[0])
-
     def _pick_ready(self):
         """FR-FCFS pick: ``(request, plan)`` ready now, else the earliest
         future start time (int), for the next wakeup."""
@@ -261,16 +176,17 @@ class DimmController(Component):
         first_ready_plan = None
         min_start = None
         prefer_hits = self.policy == "frfcfs"
+        plan_access = self.dimm.plan_access
         for request in self.queue.items():
             if window >= self.SCHED_WINDOW:
                 break
             window += 1
-            plan = self._plan(request)
+            plan = plan_access(request.coord, request.is_write)
             start = plan[0]
             if start <= now:
                 if not prefer_hits:
                     return request, plan
-                if not plan[3]:  # row hit (no activate needed)
+                if not plan[2]:  # row hit (no activate needed)
                     return request, plan
                 if first_ready is None:
                     first_ready, first_ready_plan = request, plan
@@ -283,36 +199,21 @@ class DimmController(Component):
     # -- issue ---------------------------------------------------------------------
 
     def _issue(self, request: MemoryRequest, plan: Plan) -> None:
-        start, pre_data, transfer_cycles, activate, banks, chips = plan
+        start, pre_data, activate, row_state = plan
         engine = self.engine
         now = engine.now
         if start < now:
             start = now  # plan start is now-independent
-        request.plan_entry = None
         coord = request.coord
         dimm = self.dimm
-        timing = self._timing
-        bursts = transfer_cycles // timing.tbl
+        chips = coord.chips_per_group
+        group_bytes = self._burst_bytes_per_chip * chips
+        bursts = -(-request.size // group_bytes)
+        transfer_cycles = bursts * self._tbl
+        finish = dimm.commit_access(coord, start, pre_data, transfer_cycles,
+                                    activate, request.is_write)
         tracer = engine.tracer
-        trace_dram = bool(tracer) and tracer.wants("dram")
-        if trace_dram:
-            # Row-buffer outcome must be read *before* commit mutates it.
-            if not activate:
-                row_state = "hit"
-            elif banks[0].open_row is None:
-                row_state = "miss"
-            else:
-                row_state = "conflict"
-        # ``Bank.commit`` always completes at start + pre_data + transfer
-        # regardless of bank state, so the finish cycle is computed once
-        # rather than max-folded over the group.
-        finish = start + pre_data + transfer_cycles
-        row = coord.row
-        is_write = request.is_write
-        for bank in banks:
-            bank.commit(start, row, pre_data, transfer_cycles,
-                        activate, timing, is_write)
-        if trace_dram:
+        if tracer and tracer.wants("dram"):
             # The span covers the full service window [start, finish) —
             # completion is scheduled at ``finish`` — so the profiler's
             # queue/service/response phase boundaries meet exactly.
@@ -325,23 +226,16 @@ class DimmController(Component):
                 args={
                     "row_state": row_state, "rank": coord.rank,
                     "bank": coord.bank, "row": coord.row,
-                    "chips": coord.chips_per_group, "bursts": bursts,
+                    "chips": chips, "bursts": bursts,
                     "queue_depth": len(self.queue) + len(self._waiters),
                     "req": request.req_id, "task": request.task_id,
                     "wait": start - enq if enq is not None else 0,
                 },
             )
-        dimm.note_bank_commit(coord.rank, coord.bank)
         if activate:
-            dimm.energy.on_activate(chips=coord.chips_per_group)
-        # The chip data bus is occupied only during the transfer window.
-        dimm.set_group_free_at(
-            coord.rank, coord.first_chip, coord.chips_per_group, finish
-        )
-        dimm.chip_counters.record(
-            coord.rank, coord.chip_group, coord.chips_per_group, bursts
-        )
-        dimm.energy.on_burst(coord.chips_per_group, bursts, request.is_write)
+            dimm.energy.on_activate(chips=chips)
+        dimm.chip_counters.record(coord.rank, coord.chip_group, chips, bursts)
+        dimm.energy.on_burst(chips, bursts, request.is_write)
         # Inlined counter updates (four per issued request), keys created
         # lazily on the first issue exactly as ``stats.add`` would.
         counters = self._counters
@@ -352,9 +246,7 @@ class DimmController(Component):
             counters["useful_bytes"] = 0.0
         counters["issued"] += 1
         counters["bursts"] += bursts
-        counters["bytes_accessed"] += (
-            bursts * self._burst_bytes_per_chip * coord.chips_per_group
-        )
+        counters["bytes_accessed"] += bursts * group_bytes
         counters["useful_bytes"] += request.size
         self.stats.record("service_cycles", finish - now)
         # The completion cycle is known now: stamp it and schedule the

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dram.bank import Bank
 from repro.dram.chip import ChipAccessCounters
-from repro.dram.refresh import RefreshEngine
 from repro.dram.power import DramEnergyModel, DramEnergyParams
+from repro.dram.refresh import RefreshEngine
+from repro.dram.request import DramCoord
 from repro.dram.timing import DimmGeometry, DramTiming
 from repro.sim.component import Component
 
@@ -31,12 +32,45 @@ class DimmKind(enum.Enum):
         return self in (DimmKind.CXLG, DimmKind.DDR_CUSTOM)
 
 
+class _Run:
+    """Chips ``[lo, hi)`` of one (rank, bank index) whose bank timing state
+    is identical, served by one :class:`Bank`.
+
+    ``planned`` is set the first time a timing plan covers the chips; only
+    planned runs take part in refresh (see :meth:`Dimm.apply_refresh`).
+    The bank's own hit/miss counters are not per-chip totals — the DIMM
+    keeps those.
+    """
+
+    __slots__ = ("lo", "hi", "bank", "planned")
+
+    def __init__(self, lo: int, hi: int, bank: Bank, planned: bool) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.bank = bank
+        self.planned = planned
+
+    def same_state(self, other: "_Run") -> bool:
+        a, b = self.bank, other.bank
+        return (
+            self.planned == other.planned
+            and a.open_row == b.open_row
+            and a.free_at == b.free_at
+            and a.last_act_at == b.last_act_at
+        )
+
+
 class Dimm(Component):
     """One DIMM: bank state machines per (rank, chip, bank) plus accounting.
 
     Bank state is tracked per *chip* so that chip groups of any width —
     lockstep ranks, single chips, coalesced multi-chip groups — interact
-    correctly when regions with different mappings share a DIMM.
+    correctly when regions with different mappings share a DIMM.  Chips of
+    one (rank, bank index) whose state is identical share one :class:`Bank`
+    as a *run*, so a lockstep access plans and commits one bank, not one per
+    chip.  Runs split at the edges of narrower accesses and merge again once
+    neighbours are equal; the representation stays behind
+    :meth:`plan_access` and :meth:`commit_access`.
     """
 
     def __init__(
@@ -53,44 +87,28 @@ class Dimm(Component):
         self.kind = kind
         self.geometry = geometry
         self.timing = timing
-        #: Monotonic counter bumped whenever any bank or chip-bus state
-        #: advances (an access commits, refresh fires).  The controller keys
-        #: its per-request timing-plan cache on this: while the epoch is
-        #: unchanged, every previously computed plan is still valid.  The
-        #: per-(rank, bank) and per-(rank, chip) epochs below refine it so
-        #: an issue only invalidates plans that actually share state with it.
-        self.state_epoch: int = 0
-        # Flat bank array indexed by (rank, chip, bank) — this is the
-        # simulator's hottest data structure.  The geometry scalars the
-        # index math needs are hoisted to plain ints here; going through
-        # the DimmGeometry properties costs a descriptor call per lookup.
-        self._banks_per_chip = geometry.banks
+        # The geometry scalars the index math needs, hoisted to plain ints:
+        # going through the DimmGeometry properties costs a descriptor call
+        # per lookup on the simulator's hottest path.
+        self._banks_per_rank = geometry.banks
         self._chips_per_rank = geometry.chips_per_rank
-        self._banks_per_rank = geometry.chips_per_rank * geometry.banks
-        # Bank state objects materialize lazily on first touch: a sweep
-        # configuration builds hundreds of DIMMs whose workloads often hit
-        # only a fraction of the bank space, and constructing the full
-        # array dominated small-figure setup profiles.  An untouched bank
-        # is indistinguishable from a fresh one (refresh only clamps
-        # ``free_at`` forward and closes rows — both no-ops on idle banks).
-        self._banks: List[Optional[Bank]] = [None] * (
-            geometry.ranks * self._banks_per_rank
+        # Chip -> run, flat over ((rank, bank index), chip).  A slot stays
+        # ``None`` until a plan first touches it: a sweep configuration
+        # builds hundreds of DIMMs whose workloads often reach only a
+        # fraction of the bank space, and an untouched slot is one fresh,
+        # unplanned run.
+        self._runs: List[Optional[_Run]] = [None] * (
+            geometry.ranks * geometry.banks * geometry.chips_per_rank
         )
-        # Chip-group -> bank-object list memo for the controller's planning
-        # loop.  Bank objects live for the DIMM's lifetime, so entries never
-        # invalidate; the key space is bounded by (ranks x groups x banks).
-        self._group_memo: Dict[Tuple[int, int, int, int], List[Bank]] = {}
-        self.chip_counters = ChipAccessCounters(geometry)
         # Per-(rank, chip) data-bus availability, flat.
         self._chip_free_at: List[int] = [0] * (
             geometry.ranks * geometry.chips_per_rank
         )
-        # Fine-grained plan-invalidation epochs: per (rank, bank-index) for
-        # command-sequencing state, per (rank, chip) for data-bus state.
-        self._bank_epoch: List[int] = [0] * (geometry.ranks * geometry.banks)
-        self._bus_epoch: List[int] = [0] * (
-            geometry.ranks * geometry.chips_per_rank
-        )
+        # Per-chip bank totals, credited by run width at commit.
+        self._activations = 0
+        self._row_hits = 0
+        self._row_conflicts = 0
+        self.chip_counters = ChipAccessCounters(geometry)
         self.energy = DramEnergyModel(
             self.stats,
             total_chips=geometry.ranks * geometry.chips_per_rank,
@@ -99,121 +117,199 @@ class Dimm(Component):
         )
         self.refresh = RefreshEngine(self)
 
-    def bank(self, rank: int, chip: int, bank: int) -> Bank:
-        index = rank * self._banks_per_rank + chip * self._banks_per_chip + bank
-        entry = self._banks[index]
-        if entry is None:
-            entry = self._banks[index] = Bank()
-        return entry
+    # -- access timing --------------------------------------------------------------
 
-    def bank_group(
-        self, rank: int, first_chip: int, chips_per_group: int, bank: int
-    ) -> List[Bank]:
-        """The ``bank``-index banks of one chip group, in chip order.
+    def plan_access(
+        self, coord: DramCoord, is_write: bool
+    ) -> Tuple[int, int, bool, str]:
+        """Timing plan ``(start, pre_data, activate, row_state)`` for an
+        access to ``coord``.  No timing state changes; the covered chips
+        are only flagged as planned (see :meth:`apply_refresh`).
 
-        Memoized: the controller re-plans the same (rank, group, bank)
-        combinations constantly and the bank objects never move.  Callers
-        must not mutate the returned list.
+        ``start`` is now-independent: the earliest cycle the bank and bus
+        state permits, so an access issued at ``now`` starts at
+        ``max(now, start)``.  The group's first chip classifies the access
+        (``pre_data`` command cycles before data, whether it activates, and
+        ``row_state`` — ``"hit"``, ``"miss"`` or ``"conflict"``).  The
+        command phase may begin while a chip's data bus still serves an
+        earlier transfer; only the data windows serialize on the bus.
         """
-        key = (rank, first_chip, chips_per_group, bank)
-        try:
-            return self._group_memo[key]
-        except KeyError:
-            banks = self._banks
-            base = rank * self._banks_per_rank + bank
-            per_chip = self._banks_per_chip
-            group = []
-            for chip in range(first_chip, first_chip + chips_per_group):
-                index = base + chip * per_chip
-                entry = banks[index]
-                if entry is None:
-                    entry = banks[index] = Bank()
-                group.append(entry)
-            self._group_memo[key] = group
-            return group
+        width = coord.chips_per_group
+        first = coord.chip_group * width
+        end = first + width
+        chips = self._chips_per_rank
+        base = (coord.rank * self._banks_per_rank + coord.bank) * chips
+        head = self._runs[base + first]
+        if head is None or not head.planned or head.hi < end:
+            head = self._mark_planned(base, first, end)
+        bank = head.bank
+        timing = self.timing
+        pre_data, activate = bank.classify(coord.row, timing, is_write)
+        start = bank.earliest_start(0, activate, timing)
+        chip = head.hi
+        while chip < end:
+            # The group spans several runs: every chip's bank gates it.
+            run = self._runs[base + chip]
+            start = run.bank.earliest_start(start, activate, timing)
+            chip = run.hi
+        bus = coord.rank * chips + first
+        if width == 1:
+            bus = self._chip_free_at[bus] - pre_data
+        else:
+            bus = max(self._chip_free_at[bus:bus + width]) - pre_data
+        if bus > start:
+            start = bus
+        if not activate:
+            return start, pre_data, activate, "hit"
+        if bank.open_row is None:
+            return start, pre_data, activate, "miss"
+        return start, pre_data, activate, "conflict"
+
+    def commit_access(
+        self,
+        coord: DramCoord,
+        start: int,
+        pre_data: int,
+        transfer: int,
+        activate: bool,
+        is_write: bool,
+    ) -> int:
+        """Apply a planned access that starts at ``start`` to every chip of
+        its group; returns the cycle the last data beat completes."""
+        width = coord.chips_per_group
+        first = coord.chip_group * width
+        end = first + width
+        chips = self._chips_per_rank
+        base = (coord.rank * self._banks_per_rank + coord.bank) * chips
+        runs = self._runs
+        run = runs[base + first]
+        if run.lo != first or run.hi != end:
+            self._split(base, first)
+            self._split(base, end)
+        timing = self.timing
+        row = coord.row
+        chip = first
+        while chip < end:
+            run = runs[base + chip]
+            chip = run.hi
+            bank = run.bank
+            covered = chip - run.lo
+            if activate:
+                self._activations += covered
+                if bank.open_row is not None:
+                    self._row_conflicts += covered
+            else:
+                self._row_hits += covered
+            bank.commit(start, row, pre_data, transfer, activate, timing,
+                        is_write)
+        if run.lo or chip < chips:
+            # Not one run over the whole rank: neighbours may now be equal.
+            self._merge(base, first, end)
+        finish = start + pre_data + transfer
+        bus = coord.rank * chips + first
+        # The chip data bus is occupied only during the transfer window.
+        self._chip_free_at[bus:bus + width] = [finish] * width
+        return finish
+
+    # -- run bookkeeping ----------------------------------------------------------
+
+    def _mark_planned(self, base: int, first: int, end: int) -> _Run:
+        """Flag chips ``[first, end)`` of a slot as planned; returns the run
+        holding ``first``."""
+        runs = self._runs
+        chips = self._chips_per_rank
+        if runs[base] is None:
+            runs[base:base + chips] = [_Run(0, chips, Bank(), False)] * chips
+        if not all(runs[base + chip].planned for chip in range(first, end)):
+            self._split(base, first)
+            self._split(base, end)
+            for chip in range(first, end):
+                runs[base + chip].planned = True
+            self._merge(base, first, end)
+        return runs[base + first]
+
+    def _split(self, base: int, chip: int) -> None:
+        """Make ``chip`` the first chip of a run (no-op at a run edge)."""
+        if chip == self._chips_per_rank:
+            return
+        runs = self._runs
+        run = runs[base + chip]
+        if run.lo == chip:
+            return
+        bank = run.bank
+        right = _Run(
+            chip, run.hi,
+            Bank(open_row=bank.open_row, free_at=bank.free_at,
+                 last_act_at=bank.last_act_at),
+            run.planned,
+        )
+        runs[base + chip:base + run.hi] = [right] * (run.hi - chip)
+        run.hi = chip
+
+    def _merge(self, base: int, first: int, end: int) -> None:
+        """Merge equal neighbouring runs from the one before ``first``
+        through the one starting at ``end``."""
+        runs = self._runs
+        chips = self._chips_per_rank
+        left = runs[base + first - 1] if first else runs[base]
+        while left.hi < chips and left.hi <= end:
+            right = runs[base + left.hi]
+            if left.same_state(right):
+                runs[base + right.lo:base + right.hi] = (
+                    [left] * (right.hi - right.lo)
+                )
+                left.hi = right.hi
+            else:
+                left = right
+
+    # -- state readers ------------------------------------------------------------
+
+    def chip_bank_state(
+        self, rank: int, chip: int, bank: int
+    ) -> Tuple[Optional[int], int, int, bool]:
+        """``(open_row, free_at, last_act_at, planned)`` of one chip's bank."""
+        chips = self._chips_per_rank
+        run = self._runs[(rank * self._banks_per_rank + bank) * chips + chip]
+        if run is None:
+            fresh = Bank()
+            return fresh.open_row, fresh.free_at, fresh.last_act_at, False
+        state = run.bank
+        return state.open_row, state.free_at, state.last_act_at, run.planned
 
     def chip_free_at(self, rank: int, chip: int) -> int:
         return self._chip_free_at[rank * self._chips_per_rank + chip]
 
-    def set_chip_free_at(self, rank: int, chip: int, time: int) -> None:
-        index = rank * self._chips_per_rank + chip
-        self._chip_free_at[index] = time
-        self._bus_epoch[index] += 1
-        self.state_epoch += 1
-
-    def set_group_free_at(
-        self, rank: int, first_chip: int, chips: int, time: int
-    ) -> None:
-        """Advance every data bus of one chip group to ``time``.
-
-        Equivalent to ``chips`` calls of :meth:`set_chip_free_at` (the
-        epochs move identically); batched because the controller does this
-        once per issued request across the whole group.
-        """
-        base = rank * self._chips_per_rank + first_chip
-        free = self._chip_free_at
-        epochs = self._bus_epoch
-        for index in range(base, base + chips):
-            free[index] = time
-            epochs[index] += 1
-        self.state_epoch += chips
-
-    def chip_free_window(self, rank: int, first_chip: int) -> Tuple[List[int], int]:
-        """The flat bus-availability list and the index of ``first_chip``.
-
-        The controller's planning loop reads one bus slot per chip in a
-        group; handing it the backing list plus a base index turns those
-        reads into plain subscripts.  The list is mutated in place and
-        never rebound, so the reference stays valid for the DIMM's life.
-        """
-        return self._chip_free_at, rank * self._chips_per_rank + first_chip
-
-    # -- plan-cache invalidation --------------------------------------------------
-
-    def note_bank_commit(self, rank: int, bank: int) -> None:
-        """An access committed against bank ``bank`` of ``rank`` (any chip
-        group): plans reading that bank index are stale."""
-        self._bank_epoch[rank * self._banks_per_chip + bank] += 1
-        self.state_epoch += 1
-
-    def bank_epoch(self, rank: int, bank: int) -> int:
-        return self._bank_epoch[rank * self._banks_per_chip + bank]
-
-    def bus_epoch_sum(self, rank: int, first_chip: int, chips: int) -> int:
-        """Monotonic digest of the data-bus state a chip group depends on
-        (strictly increases whenever any covered chip's bus advances)."""
-        base = rank * self._chips_per_rank + first_chip
-        return sum(self._bus_epoch[base : base + chips])
-
     def apply_refresh(self, busy_until: int) -> None:
-        """Block every bank and chip bus until ``busy_until`` (REF for all
-        ranks) and close all rows.
+        """Block every planned bank and every chip bus until ``busy_until``
+        (REF for all ranks) and close those banks' rows.
 
-        Flat sweeps over the state arrays on behalf of the refresh engine —
-        the triple (rank, chip, bank) loop through :meth:`bank` showed up in
-        profiles.  Bus epochs are bumped wholesale by the caller's
-        :meth:`bump_state_epoch`, which invalidates every cached plan, so
-        the per-entry epochs need no individual increments here.
+        Chips no plan has covered yet keep their fresh state.
         """
-        for bank in self._banks:
-            if bank is None:
-                # Never-touched bank: clamping ``free_at`` forward and
-                # closing the (already closed) row would be no-ops.
+        runs = self._runs
+        chips = self._chips_per_rank
+        for base in range(0, len(runs), chips):
+            if runs[base] is None:
                 continue
-            if bank.free_at < busy_until:
-                bank.free_at = busy_until
-            # REF implicitly precharges every row.
-            bank.open_row = None
+            left = None
+            chip = 0
+            while chip < chips:
+                run = runs[base + chip]
+                chip = run.hi
+                if run.planned:
+                    bank = run.bank
+                    if bank.free_at < busy_until:
+                        bank.free_at = busy_until
+                    # REF implicitly precharges every row.
+                    bank.open_row = None
+                if left is not None and left.same_state(run):
+                    runs[base + run.lo:base + chip] = [left] * (chip - run.lo)
+                    left.hi = chip
+                else:
+                    left = run
         free = self._chip_free_at
         for index, at in enumerate(free):
             if at < busy_until:
                 free[index] = busy_until
-
-    def bump_state_epoch(self) -> None:
-        """Invalidate every cached timing plan (refresh moved all banks)."""
-        self.state_epoch += 1
-        self._bank_epoch = [e + 1 for e in self._bank_epoch]
-        self._bus_epoch = [e + 1 for e in self._bus_epoch]
 
     def validate_group(self, chips_per_group: int) -> None:
         """Reject fine-grained access on DIMMs that cannot do it."""
@@ -227,12 +323,12 @@ class Dimm(Component):
 
     @property
     def total_activations(self) -> int:
-        return sum(b.activations for b in self._banks if b is not None)
+        return self._activations
 
     @property
     def total_row_hits(self) -> int:
-        return sum(b.row_hits for b in self._banks if b is not None)
+        return self._row_hits
 
     @property
     def total_row_conflicts(self) -> int:
-        return sum(b.row_conflicts for b in self._banks if b is not None)
+        return self._row_conflicts

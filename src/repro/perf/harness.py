@@ -2,14 +2,13 @@
 
 Each benched figure is simulated exactly twice at quick scale:
 
-1. a *production* run: the configured job count, the controller's timing
-   plan cache and the cross-run index cache on, the default event
-   scheduler, and
-2. a *reference* run: serial, both caches off
-   (``REPRO_DISABLE_PLAN_CACHE=1``, ``REPRO_DISABLE_INDEX_CACHE=1``), the
-   ``heap`` reference scheduler, and every observer attached at once — a
-   profiling :class:`~repro.obs.TraceSession` with metric sampling, a run
-   ledger in a temp file, and a progress line sent to a string buffer.
+1. a *production* run: the configured job count, the cross-run index
+   cache on, the default event scheduler, and
+2. a *reference* run: serial, the index cache off
+   (``REPRO_DISABLE_INDEX_CACHE=1``), the ``heap`` reference scheduler, and
+   every observer attached at once — a profiling
+   :class:`~repro.obs.TraceSession` with metric sampling, a run ledger in a
+   temp file, and a progress line sent to a string buffer.
 
 The two results must have the same full-result digest (:func:`_digest`):
 every field of the result object, not only its
@@ -191,19 +190,15 @@ def _environ(values: Mapping[str, Optional[str]]) -> Iterator[None]:
         _set_environ(previous)
 
 
-_PLAN_CACHE_DISABLE_ENV = "REPRO_DISABLE_PLAN_CACHE"
-
-#: The production path: both caches on, the default scheduler.
+#: The production path: the index cache on, the default scheduler.
 _PRODUCTION_ENV = {
     SCHEDULER_ENV: DEFAULT_SCHEDULER,
-    _PLAN_CACHE_DISABLE_ENV: None,
     index_cache.DISABLE_ENV: None,
 }
 
 #: The always-recompute path on the reference scheduler.
 _REFERENCE_ENV = {
     SCHEDULER_ENV: HeapScheduler.name,
-    _PLAN_CACHE_DISABLE_ENV: "1",
     index_cache.DISABLE_ENV: "1",
 }
 

@@ -199,76 +199,3 @@ class TestEnergy:
             return dimm.stats.get("energy_rw_nj")
 
         assert run(AccessKind.WRITE) > run(AccessKind.READ)
-
-
-class TestPlanCache:
-    """The timing-plan cache must be pure elision: identical schedules,
-    fewer ``_compute_plan`` calls."""
-
-    def _random_run(self, n=200):
-        engine, dimm, ctrl = make_setup()
-        mapping = RankInterleaveMapping(GEO)
-        done = []
-        rng = np.random.default_rng(7)
-        for _ in range(n):
-            submit(ctrl, mapping, int(rng.integers(0, 1 << 22)) // 64 * 64,
-                   size=64, done=done)
-        engine.run()
-        dimm.energy.finalize(engine.now)
-        trace = (engine.now, [r.completed_at for r in done],
-                 dimm.energy.total_nj(), dimm.total_activations,
-                 dimm.total_row_hits)
-        return trace, ctrl
-
-    def test_cache_hits_and_identical_schedule(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_PLAN_CACHE", raising=False)
-        cached_trace, cached_ctrl = self._random_run()
-        assert cached_ctrl.plan_cache_hits > 0
-
-        monkeypatch.setenv("REPRO_DISABLE_PLAN_CACHE", "1")
-        uncached_trace, uncached_ctrl = self._random_run()
-        assert uncached_ctrl.plan_cache_hits == 0
-        assert uncached_ctrl.plan_cache_misses == 0
-        assert cached_trace == uncached_trace
-
-    def test_kill_switch_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_PLAN_CACHE", "1")
-        _engine, _dimm, ctrl = make_setup()
-        assert ctrl._plan_cache_enabled is False
-        monkeypatch.delenv("REPRO_DISABLE_PLAN_CACHE")
-        _engine, _dimm, ctrl = make_setup()
-        assert ctrl._plan_cache_enabled is True
-
-    def test_issue_drops_cached_plan(self):
-        engine, dimm, ctrl = make_setup()
-        mapping = RankInterleaveMapping(GEO)
-        done = []
-        req = submit(ctrl, mapping, 0, size=64, done=done)
-        engine.run()
-        assert done and req.plan_entry is None
-
-
-class TestInvalidationEpochs:
-    def test_bank_commit_bumps_only_its_bank(self):
-        _engine, dimm, _ctrl = make_setup()
-        before_global = dimm.state_epoch
-        dimm.note_bank_commit(0, 3)
-        assert dimm.state_epoch == before_global + 1
-        assert dimm.bank_epoch(0, 3) == 1
-        assert dimm.bank_epoch(0, 2) == 0
-        assert dimm.bank_epoch(1, 3) == 0
-
-    def test_bus_update_bumps_only_its_chips(self):
-        _engine, dimm, _ctrl = make_setup()
-        dimm.set_chip_free_at(0, 5, 100)
-        assert dimm.bus_epoch_sum(0, 5, 1) == 1
-        assert dimm.bus_epoch_sum(0, 0, 5) == 0
-        assert dimm.bus_epoch_sum(0, 0, 16) == 1  # covers chip 5
-
-    def test_refresh_style_bump_invalidates_everything(self):
-        _engine, dimm, _ctrl = make_setup()
-        dimm.bump_state_epoch()
-        assert dimm.state_epoch == 1
-        assert all(dimm.bank_epoch(r, b) == 1
-                   for r in range(GEO.ranks) for b in range(GEO.banks))
-        assert dimm.bus_epoch_sum(0, 0, GEO.chips_per_rank) == GEO.chips_per_rank

@@ -1,9 +1,11 @@
 """Tests for the DDR4 refresh engine."""
 
 import numpy as np
+import pytest
 
 from repro.dram import (Dimm, DimmController, DimmGeometry, DimmKind,
-                        MemoryRequest, RankInterleaveMapping)
+                        DramCoord, DramTiming, MemoryRequest,
+                        RankInterleaveMapping)
 from repro.sim import Engine
 from repro.sim.component import Component
 
@@ -106,3 +108,37 @@ def test_refresh_closes_rows():
     engine.run()
     assert len(done) == 2
     assert dimm.total_activations >= 2 * GEO.chips_per_rank
+
+
+def _lockstep_start_after_refresh(bank):
+    """Command-phase start of a 16-chip read to ``bank`` submitted 10
+    cycles into the first REF, after a read to bank 0 armed refresh."""
+    engine, dimm, ctrl = make_setup()
+    timing = dimm.timing
+    issued = []
+
+    def probe(bank_index):
+        req = MemoryRequest(addr=0, size=64)
+        req.coord = DramCoord(rank=0, bank=bank_index, row=0, column=0,
+                              chip_group=0, chips_per_group=16)
+        ctrl.submit_when_possible(req)
+        issued.append(req)
+
+    probe(0)
+    engine.schedule(timing.trefi + 10, lambda: probe(bank))
+    engine.run()
+    # Both reads are row misses (REF closed bank 0's row): ACT + CAS + burst.
+    return issued[-1].completed_at - timing.trcd - timing.tcas - timing.tbl
+
+
+def test_refresh_blocks_a_bank_planned_before_it():
+    timing = DramTiming()
+    assert _lockstep_start_after_refresh(0) == timing.trefi + timing.trfc
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a bank no plan has covered yet ignores a refresh in progress; fixing "
+    "it changes published results"))
+def test_refresh_blocks_a_bank_first_planned_during_it():
+    timing = DramTiming()
+    assert _lockstep_start_after_refresh(5) == timing.trefi + timing.trfc

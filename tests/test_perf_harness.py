@@ -109,7 +109,7 @@ def test_divergence_from_reference_raises(monkeypatch):
     even when it carries no Report."""
 
     def fragile(scale, runner):
-        return {"cycles": 2 if os.environ.get("REPRO_DISABLE_PLAN_CACHE")
+        return {"cycles": 2 if os.environ.get("REPRO_DISABLE_INDEX_CACHE")
                 else 1}
 
     monkeypatch.setitem(BENCH_FIGURES, "fragile", fragile)
@@ -119,14 +119,13 @@ def test_divergence_from_reference_raises(monkeypatch):
 
 def test_each_figure_runs_twice_production_then_reference(monkeypatch):
     monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    monkeypatch.setenv("REPRO_DISABLE_PLAN_CACHE", "1")
+    monkeypatch.setenv("REPRO_DISABLE_INDEX_CACHE", "1")
     calls = []
 
     def probe(scale, runner):
         recorder = current_recorder()
         calls.append({
             "scheduler": os.environ.get("REPRO_SCHEDULER"),
-            "plan_cache_off": os.environ.get("REPRO_DISABLE_PLAN_CACHE"),
             "index_cache_off": os.environ.get("REPRO_DISABLE_INDEX_CACHE"),
             "jobs": runner.jobs,
             "traced": recorder is not None,
@@ -141,18 +140,18 @@ def test_each_figure_runs_twice_production_then_reference(monkeypatch):
     bench_figures(figures=["probe"], jobs=2)
     production, reference = calls
     assert production == {
-        "scheduler": "wheel", "plan_cache_off": None, "index_cache_off": None,
+        "scheduler": "wheel", "index_cache_off": None,
         "jobs": 2, "traced": False, "profiled": False, "sampled": False,
         "ledger": False, "progress": False,
     }
     assert reference == {
-        "scheduler": "heap", "plan_cache_off": "1", "index_cache_off": "1",
+        "scheduler": "heap", "index_cache_off": "1",
         "jobs": 1, "traced": True, "profiled": True, "sampled": True,
         "ledger": True, "progress": True,
     }
     # The caller's environment is restored afterwards.
     assert os.environ["REPRO_SCHEDULER"] == "heap"
-    assert os.environ["REPRO_DISABLE_PLAN_CACHE"] == "1"
+    assert os.environ["REPRO_DISABLE_INDEX_CACHE"] == "1"
     assert current_recorder() is None
 
 

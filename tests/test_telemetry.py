@@ -273,6 +273,25 @@ def test_status_cli_unreadable_ledger_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_real_sweep_under_ledger_env_summarizes(tmp_path, monkeypatch, capsys):
+    """A real figure run picks the ledger up from ``REPRO_LEDGER`` alone,
+    and ``status --json`` summarizes a complete, failure-free campaign."""
+    from repro.__main__ import main
+
+    path = str(tmp_path / "runs.jsonl")
+    monkeypatch.setenv("REPRO_LEDGER", path)
+    assert main(["run", "fig3", "--quick"]) == 0
+    assert main(["status", path]) == 0
+    capsys.readouterr()
+    assert main(["status", path, "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["total_jobs"] > 0
+    assert summary["finished"] == summary["total_jobs"]
+    assert summary["failed"] == 0
+    assert summary["slowest"]
+    assert summary["per_worker"]
+
+
 # -- telemetry is observational ----------------------------------------------------
 
 
