@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque
 
-from repro.cxl.topology import MemoryPool
+from repro.cxl.topology import MemoryPool, RmwFlight
 from repro.dram.request import AccessKind, MemoryRequest
 from repro.sim.component import Component
 
@@ -45,7 +45,11 @@ class AtomicEngineBank(Component):
         self.num_engines = num_engines
         self.compute_cycles = compute_cycles
         self.busy = 0
-        self._backlog: Deque[Callable[[], None]] = deque()
+        #: RMWs waiting for a free engine, FIFO.
+        self._backlog: Deque[RmwFlight] = deque()
+        #: RMWs on an engine, in start order.  Every engine takes the same
+        #: ``compute_cycles``, so they also finish in this order.
+        self._computing: Deque[RmwFlight] = deque()
 
     def perform(self, pool: MemoryPool, request: MemoryRequest, respond: Respond) -> None:
         """Serve one RMW.
@@ -58,44 +62,23 @@ class AtomicEngineBank(Component):
         if request.kind is not AccessKind.ATOMIC_RMW:
             raise ValueError("AtomicEngineBank only serves ATOMIC_RMW requests")
         self.stats.add("rmw_ops", 1)
-        read = MemoryRequest(
-            addr=request.addr, size=request.size, kind=AccessKind.READ,
-            data_class=request.data_class, task_id=request.task_id,
-            source=self.node,
-        )
-        read.dimm_index = request.dimm_index
-        read.coord = request.coord
+        RmwFlight(pool, request, self.node, self._claim_engine, respond).start()
 
-        def after_read(_r: MemoryRequest) -> None:
-            self._claim_engine(lambda: do_write())
-
-        def do_write() -> None:
-            write = MemoryRequest(
-                addr=request.addr, size=request.size, kind=AccessKind.WRITE,
-                data_class=request.data_class, task_id=request.task_id,
-                source=self.node,
-            )
-            write.dimm_index = request.dimm_index
-            write.coord = request.coord
-            pool.dram_access(write, self.node, on_done=lambda _w: respond(request))
-
-        pool.dram_access(read, self.node, on_done=after_read)
-
-    def _claim_engine(self, after_compute: Callable[[], None]) -> None:
+    def _claim_engine(self, flight: RmwFlight) -> None:
         """Run the arithmetic on a free engine (FIFO when all busy)."""
         if self.busy >= self.num_engines:
-            self._backlog.append(after_compute)
+            self._backlog.append(flight)
             self.stats.add("queued", 1)
             return
-        self._run_engine(after_compute)
+        self._run_engine(flight)
 
-    def _run_engine(self, after_compute: Callable[[], None]) -> None:
+    def _run_engine(self, flight: RmwFlight) -> None:
         self.busy += 1
+        self._computing.append(flight)
+        self.engine.schedule(self.compute_cycles, self._engine_done)
 
-        def done() -> None:
-            self.busy -= 1
-            after_compute()
-            if self._backlog:
-                self._run_engine(self._backlog.popleft())
-
-        self.engine.schedule(self.compute_cycles, done)
+    def _engine_done(self) -> None:
+        self.busy -= 1
+        self._computing.popleft().write()
+        if self._backlog:
+            self._run_engine(self._backlog.popleft())

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.cxl.packer import PackedChannel
 
 #: CXL's default data transfer granularity (Section IV-B: "the default data
 #: transfer granularity in CXL is 64 Bytes").
@@ -29,49 +30,69 @@ class MessageKind(enum.Enum):
     CONTROL = "control"             # framework/coherence traffic
 
 
-_message_ids = itertools.count()
-
-
-@dataclass(slots=True)
 class Message:
-    """One logical payload travelling the fabric.
+    """One logical payload walking its route across the fabric.
 
     ``payload_bytes`` is the *useful* content; how many wire bytes it costs
     depends on whether the channel packs fine-grained payloads together
     (see :class:`repro.cxl.packer.PackedChannel`).
 
+    The message carries its route's channel ``hops`` and the index of the
+    hop it is on.  Hop ``i + 1`` only begins after hop ``i`` delivers, so
+    one message serves the whole route and is never on two channels at
+    once.  :meth:`deliver` is the link's arrival callback; it moves the
+    message on, or fires the sender's zero-argument ``on_delivered`` after
+    the last hop.  Nothing on this path points back at the message, so a
+    delivered message is freed by reference counting alone.
+
     The wire-cost fields are fixed by ``kind``/``payload_bytes`` and read
-    on every fabric hop, so they are computed once at construction rather
-    than exposed as properties.
+    on every fabric hop, so they are computed once at construction.
     """
 
-    kind: MessageKind
-    payload_bytes: int
-    destination: str
-    on_delivered: Optional[Callable[["Message"], None]] = None
-    #: Arbitrary cargo (usually the MemoryRequest this message moves).
-    cargo: object = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    created_at: Optional[int] = None
-    #: Per-message header cost when packed into a shared flit.
-    header_bytes: int = field(init=False)
-    #: Wire cost contribution when sharing flits with other payloads.
-    packed_wire_bytes: int = field(init=False)
-    #: Wire cost without data packing: whole flits only.
-    unpacked_wire_bytes: int = field(init=False)
+    __slots__ = (
+        "kind", "payload_bytes", "destination", "on_delivered", "cargo",
+        "hops", "index", "created_at", "header_bytes", "packed_wire_bytes",
+        "unpacked_wire_bytes",
+    )
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes <= 0:
+    def __init__(
+        self,
+        kind: MessageKind,
+        payload_bytes: int,
+        destination: str,
+        on_delivered: Optional[Callable[[], None]] = None,
+        cargo: object = None,
+        hops: Sequence["PackedChannel"] = (),
+    ) -> None:
+        if payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
-        if self.kind is MessageKind.MEM_REQUEST:
-            header = REQUEST_HEADER_BYTES
-        else:
-            header = PACKED_HEADER_BYTES
+        self.kind = kind
+        self.payload_bytes = payload_bytes
+        self.destination = destination
+        self.on_delivered = on_delivered
+        #: Arbitrary cargo (usually the MemoryRequest this message moves).
+        self.cargo = cargo
+        self.hops = hops
+        self.index = 0
+        self.created_at: Optional[int] = None
+        header = (REQUEST_HEADER_BYTES if kind is MessageKind.MEM_REQUEST
+                  else PACKED_HEADER_BYTES)
+        #: Per-message header cost when packed into a shared flit.
         self.header_bytes = header
-        total = self.payload_bytes + header
+        total = payload_bytes + header
+        #: Wire cost contribution when sharing flits with other payloads.
         self.packed_wire_bytes = total
+        #: Wire cost without data packing: whole flits only.
         self.unpacked_wire_bytes = -(-total // FLIT_BYTES) * FLIT_BYTES
 
     def deliver(self) -> None:
-        if self.on_delivered is not None:
-            self.on_delivered(self)
+        """Arrival at the end of the current hop: send on, or call back."""
+        index = self.index + 1
+        hops = self.hops
+        if index < len(hops):
+            self.index = index
+            hops[index].send(self)
+            return
+        on_delivered = self.on_delivered
+        if on_delivered is not None:
+            on_delivered()

@@ -34,10 +34,9 @@ class Host(Component):
         self.bus = Link(engine, f"{name}.bus", self, bus_params,
                         role="host_bus")
 
-    def record_detour(self, wire_bytes: int) -> None:
+    def record_detour(self) -> None:
         """Account one coherence-detour crossing (for the Fig. 9 analysis)."""
         self.stats.add("detour_messages", 1)
-        self.stats.add("detour_bytes", wire_bytes)
         tracer = self.engine.tracer
         if tracer:
             tracer.instant("cxl", "host_detour", self.path, self.now,

@@ -65,9 +65,7 @@ class _BatchDelivery:
     def __call__(self) -> None:
         batch = self.batch
         for message in batch:
-            cb = message.on_delivered
-            if cb is not None:
-                cb(message)
+            message.deliver()
         # Delivery callbacks only ever append to the channel's *current*
         # buffer, never to this already-shipped batch, so it is safe to
         # recycle here.

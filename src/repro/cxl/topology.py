@@ -92,50 +92,6 @@ class Route:
         return len(self.hops)
 
 
-class _RouteProgress:
-    """Walks one payload along a route's hops, then fires the callback.
-
-    One slotted walker and one :class:`Message` serve the whole route: hop
-    ``i + 1`` only begins after hop ``i`` delivers, so the message is never
-    on two channels at once and can be re-sent as-is.  This replaces the
-    historical per-hop ``Message`` + closure pair on the hottest fabric
-    path.
-    """
-
-    __slots__ = ("hops", "index", "on_delivered", "message")
-
-    def __init__(
-        self,
-        hops: List[PackedChannel],
-        kind: MessageKind,
-        payload_bytes: int,
-        destination: str,
-        cargo: object,
-        on_delivered: Callable[[], None],
-    ) -> None:
-        self.hops = hops
-        self.index = 0
-        self.on_delivered = on_delivered
-        self.message = Message(
-            kind=kind,
-            payload_bytes=payload_bytes,
-            destination=destination,
-            cargo=cargo,
-            on_delivered=self._advance,
-        )
-
-    def start(self) -> None:
-        self.hops[0].send(self.message)
-
-    def _advance(self, _message: Message) -> None:
-        index = self.index + 1
-        if index == len(self.hops):
-            self.on_delivered()
-            return
-        self.index = index
-        self.hops[index].send(self.message)
-
-
 class Fabric(Component):
     """Tree-structured interconnect with per-edge packed channels."""
 
@@ -257,7 +213,7 @@ class Fabric(Component):
         if cached is not None:
             route, turnarounds = cached
             if route.via_host:
-                self.host.record_detour(0)
+                self.host.record_detour()
             else:
                 for switch in turnarounds:
                     switch.record_turnaround()
@@ -284,7 +240,7 @@ class Fabric(Component):
         via_host = self.host is not None and self.host.name in seq
         turnarounds: List[CxlSwitch] = []
         if via_host and self.host is not None:
-            self.host.record_detour(0)
+            self.host.record_detour()
         else:
             for node in seq[1:-1]:
                 switch = self.switches.get(node)
@@ -310,9 +266,9 @@ class Fabric(Component):
         if not hops:
             self.engine.schedule(self.comm.dimm_local_latency, on_delivered)
             return
-        _RouteProgress(
-            hops, kind, payload_bytes, route.dst, cargo, on_delivered
-        ).start()
+        hops[0].send(
+            Message(kind, payload_bytes, route.dst, on_delivered, cargo, hops)
+        )
 
     def comm_energy_pj(self) -> float:
         """Total communication energy accrued on every link of the fabric."""
@@ -320,22 +276,24 @@ class Fabric(Component):
 
 
 class _AccessFlight:
-    """One non-atomic access in flight through the pool.
+    """One request -> DRAM -> response round trip through the pool.
 
-    Carries the response route and the caller's continuation across the
-    request trip / DRAM service / response trip sequence as bound-method
-    callbacks — the pool serves one of these per memory request, where
-    the previous closure trio was a measurable allocation cost.
+    A slotted object whose bound methods are the fabric and controller
+    callbacks, in place of a closure per step.  ``request.on_complete``
+    points at the flight only while DRAM serves the request; the flight
+    rebinds it before the final callback, so a finished round trip leaves
+    no reference cycle behind.
     """
 
-    __slots__ = ("pool", "request", "route_resp", "original_cb")
+    __slots__ = ("pool", "request", "route_resp", "on_done")
 
     def __init__(self, pool: "MemoryPool", request: MemoryRequest,
-                 route_resp: Route) -> None:
+                 route_resp: Route,
+                 on_done: Optional[Callable[[MemoryRequest], None]]) -> None:
         self.pool = pool
         self.request = request
         self.route_resp = route_resp
-        self.original_cb = request.on_complete
+        self.on_done = on_done
 
     def submit(self) -> None:
         """Request arrived at the DIMM: hand it to the controller."""
@@ -343,17 +301,109 @@ class _AccessFlight:
         request.on_complete = self.on_dram_done
         self.pool.controllers[request.dimm_index].submit_when_possible(request)
 
-    def on_dram_done(self, req: MemoryRequest) -> None:
+    def on_dram_done(self, request: MemoryRequest) -> None:
         """DRAM serviced the request: send the response back."""
-        payload = WRITE_ACK_PAYLOAD if req.is_write else req.size
+        payload = WRITE_ACK_PAYLOAD if request.is_write else request.size
         self.pool.fabric.send(
             self.route_resp, MessageKind.MEM_RESPONSE, payload,
-            on_delivered=self.deliver, cargo=req,
+            self.deliver, request,
         )
 
     def deliver(self) -> None:
         """Response arrived at the source: fire the caller's callback."""
-        self.pool._finish(self.request, self.original_cb)
+        self.pool._finish(self.request, self.on_done)
+
+
+class _DramFlight(_AccessFlight):
+    """A :meth:`MemoryPool.dram_access` round trip.
+
+    Its request is internal to an atomic, so delivery unbinds
+    ``request.on_complete``, keeps the controller's completion stamp, and
+    passes the request to ``on_done``.
+    """
+
+    __slots__ = ()
+
+    def deliver(self) -> None:
+        request = self.request
+        request.on_complete = None
+        self.pool._trace_req_end(request)
+        self.on_done(request)
+
+
+class _AtomicFlight(_AccessFlight):
+    """A routed atomic (Fig. 7): request trip to the owning switch, RMW
+    at its Atomic Engine, write acknowledgement back."""
+
+    __slots__ = ("atomic_engine",)
+
+    def __init__(self, pool: "MemoryPool", request: MemoryRequest,
+                 route_resp: Route,
+                 on_done: Optional[Callable[[MemoryRequest], None]],
+                 atomic_engine) -> None:
+        super().__init__(pool, request, route_resp, on_done)
+        self.atomic_engine = atomic_engine
+
+    def at_switch(self) -> None:
+        """Request arrived at the switch: run the RMW there."""
+        self.atomic_engine.perform(self.pool, self.request, self.respond)
+
+    def respond(self, request: MemoryRequest) -> None:
+        """RMW done: acknowledge the requester."""
+        self.pool.fabric.send(
+            self.route_resp, MessageKind.MEM_RESPONSE, WRITE_ACK_PAYLOAD,
+            self.deliver, request,
+        )
+
+
+class RmwFlight:
+    """One read-modify-write against a DIMM: read, arithmetic, write back.
+
+    Both halves are :meth:`MemoryPool.dram_access` round trips from
+    ``node``.  Between them the flight hands itself to ``compute``, which
+    calls :meth:`write` once the arithmetic is done: after a fixed delay
+    for a module-local atomic, on a free engine for an Atomic Engine bank
+    (:class:`repro.core.atomic_engine.AtomicEngineBank`).  After the write
+    it calls ``on_done(request)``.
+    """
+
+    __slots__ = ("pool", "request", "node", "compute", "on_done")
+
+    def __init__(self, pool: "MemoryPool", request: MemoryRequest, node: str,
+                 compute: Callable[["RmwFlight"], None],
+                 on_done: Callable[[MemoryRequest], None]) -> None:
+        self.pool = pool
+        self.request = request
+        self.node = node
+        self.compute = compute
+        self.on_done = on_done
+
+    def start(self) -> None:
+        """Issue the read half."""
+        self.pool.dram_access(self._half(AccessKind.READ), self.node,
+                              self.after_read)
+
+    def _half(self, kind: AccessKind) -> MemoryRequest:
+        request = self.request
+        half = MemoryRequest(
+            addr=request.addr, size=request.size, kind=kind,
+            data_class=request.data_class, task_id=request.task_id,
+            source=self.node,
+        )
+        half.dimm_index = request.dimm_index
+        half.coord = request.coord
+        return half
+
+    def after_read(self, _read: MemoryRequest) -> None:
+        self.compute(self)
+
+    def write(self) -> None:
+        """Arithmetic done: issue the write half."""
+        self.pool.dram_access(self._half(AccessKind.WRITE), self.node,
+                              self.written)
+
+    def written(self, _write: MemoryRequest) -> None:
+        self.on_done(self.request)
 
 
 class MemoryPool(Component):
@@ -455,15 +505,20 @@ class MemoryPool(Component):
         force_host = not self.comm.device_bias
         if src_node == dst_node:
             force_host = False  # a PE's own DIMM is always device memory
-        route_req = self.fabric.route(src_node, dst_node, force_host=force_host)
-        route_resp = self.fabric.route(dst_node, src_node, force_host=force_host)
+        self._round_trip(_AccessFlight, request, src_node, dst_node,
+                         force_host, request.on_complete)
 
-        flight = _AccessFlight(self, request, route_resp)
+    def _round_trip(self, flight_cls, request: MemoryRequest, src_node: str,
+                    dst_node: str, force_host: bool, on_done) -> None:
+        """Send ``request`` to its DIMM on a new ``flight_cls`` flight,
+        which submits it there and brings the response back."""
+        fabric = self.fabric
+        route_req = fabric.route(src_node, dst_node, force_host=force_host)
+        route_resp = fabric.route(dst_node, src_node, force_host=force_host)
+        flight = flight_cls(self, request, route_resp, on_done)
         req_payload = READ_REQUEST_PAYLOAD + (request.size if request.is_write else 0)
-        self.fabric.send(
-            route_req, MessageKind.MEM_REQUEST, req_payload,
-            on_delivered=flight.submit, cargo=request,
-        )
+        fabric.send(route_req, MessageKind.MEM_REQUEST, req_payload,
+                    flight.submit, request)
 
     def _finish(self, request: MemoryRequest, callback) -> None:
         request.on_complete = callback
@@ -471,6 +526,10 @@ class MemoryPool(Component):
         self._trace_req_end(request)
         if callback is not None:
             callback(request)
+
+    def _complete(self, request: MemoryRequest) -> None:
+        """:meth:`_finish` with the request's own callback."""
+        self._finish(request, request.on_complete)
 
     def _route_atomic(self, request: MemoryRequest, src_node: str, dst_node: str) -> None:
         """Fig. 7: ship the atomic to the owning switch's Atomic Engine."""
@@ -481,53 +540,22 @@ class MemoryPool(Component):
         force_host = not self.comm.device_bias
         route_req = self.fabric.route(src_node, switch_node, force_host=force_host)
         route_resp = self.fabric.route(switch_node, src_node, force_host=force_host)
-        original_callback = request.on_complete
-
-        def respond(req: MemoryRequest) -> None:
-            self.fabric.send(
-                route_resp, MessageKind.MEM_RESPONSE, WRITE_ACK_PAYLOAD,
-                on_delivered=lambda: self._finish(req, original_callback),
-                cargo=req,
-            )
-
-        def at_switch() -> None:
-            engine_obj.perform(self, request, respond)
-
+        flight = _AtomicFlight(self, request, route_resp, request.on_complete,
+                               engine_obj)
         self.fabric.send(
             route_req, MessageKind.MEM_REQUEST,
-            READ_REQUEST_PAYLOAD + request.size,
-            on_delivered=at_switch, cargo=request,
+            READ_REQUEST_PAYLOAD + request.size, flight.at_switch, request,
         )
 
     def _local_atomic(self, request: MemoryRequest, src_node: str) -> None:
         """RMW on the NDP module's own DIMM (BEACON-D local counters):
         read, arithmetic in the module, write back — no fabric involved."""
-        original_callback = request.on_complete
+        RmwFlight(self, request, src_node, self._local_compute,
+                  self._complete).start()
 
-        def after_read(_r: MemoryRequest) -> None:
-            self.engine.schedule(self.comm.atomic_compute_cycles, do_write)
-
-        def do_write() -> None:
-            write = MemoryRequest(
-                addr=request.addr, size=request.size, kind=AccessKind.WRITE,
-                data_class=request.data_class, task_id=request.task_id,
-                source=src_node,
-            )
-            write.dimm_index = request.dimm_index
-            write.coord = request.coord
-            self.dram_access(
-                write, src_node,
-                on_done=lambda _w: self._finish(request, original_callback),
-            )
-
-        read = MemoryRequest(
-            addr=request.addr, size=request.size, kind=AccessKind.READ,
-            data_class=request.data_class, task_id=request.task_id,
-            source=src_node,
-        )
-        read.dimm_index = request.dimm_index
-        read.coord = request.coord
-        self.dram_access(read, src_node, on_done=after_read)
+    def _local_compute(self, flight: RmwFlight) -> None:
+        """A local atomic's arithmetic: a fixed delay in the module."""
+        self.engine.schedule(self.comm.atomic_compute_cycles, flight.write)
 
     # -- local (same-node) DRAM access used by atomic engines -----------------------------
 
@@ -544,26 +572,5 @@ class MemoryPool(Component):
         """
         dst_node = self.dimm_nodes[request.dimm_index]
         self._trace_req_begin(request, src_node, dst_node)
-        route_req = self.fabric.route(src_node, dst_node, force_host=False)
-        route_resp = self.fabric.route(dst_node, src_node, force_host=False)
-
-        def delivered(req: MemoryRequest) -> None:
-            self._trace_req_end(req)
-            on_done(req)
-
-        def on_dram_done(req: MemoryRequest) -> None:
-            payload = WRITE_ACK_PAYLOAD if req.is_write else req.size
-            self.fabric.send(
-                route_resp, MessageKind.MEM_RESPONSE, payload,
-                on_delivered=lambda: delivered(req), cargo=req,
-            )
-
-        def submit() -> None:
-            request.on_complete = on_dram_done
-            self.controllers[request.dimm_index].submit_when_possible(request)
-
-        req_payload = READ_REQUEST_PAYLOAD + (request.size if request.is_write else 0)
-        self.fabric.send(
-            route_req, MessageKind.MEM_REQUEST, req_payload,
-            on_delivered=submit, cargo=request,
-        )
+        self._round_trip(_DramFlight, request, src_node, dst_node, False,
+                         on_done)

@@ -298,11 +298,14 @@ class Engine:
             # The historical loop checked `executed >= max_events` after
             # each event, so a non-positive budget still ran one event.
             budget = max_events if max_events > 0 else 1
-        # Event dispatch allocates heavily (messages, requests, partials)
-        # but the objects are acyclic and die young; pausing the cyclic
-        # collector for the duration of the drain removes periodic
-        # whole-heap scans from the hot loop.  Purely an allocator
-        # setting — simulation order and results are unaffected.
+        # Event dispatch allocates heavily (messages, flights, requests),
+        # and pausing the cyclic collector for the drain removes periodic
+        # whole-heap scans from the hot loop.  That is safe because the
+        # hot-path objects form no reference cycles: reference counting
+        # frees each one as soon as its round trip ends, so nothing piles
+        # up while the collector is off.  tests/test_acyclic_hot_path.py
+        # enforces this.  Purely an allocator setting: simulation order
+        # and results are unaffected.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -100,34 +100,33 @@ class TestPackedChannel:
     def test_unpacked_costs_whole_flits(self):
         engine, link, chan = self._channel(packing=False)
         got = []
-        for _ in range(4):
-            chan.send(self._msg(8, lambda m: got.append(m.msg_id)))
+        for i in range(4):
+            chan.send(self._msg(8, lambda i=i: got.append(i)))
         engine.run()
-        assert len(got) == 4
+        assert got == [0, 1, 2, 3]
         assert link.stats.get("wire_bytes") == 4 * FLIT_BYTES
 
     def test_packing_reduces_wire_bytes_under_load(self):
         engine, link, chan = self._channel(packing=True)
         got = []
-        for _ in range(8):
-            chan.send(self._msg(8, lambda m: got.append(m.msg_id)))
+        for i in range(8):
+            chan.send(self._msg(8, lambda i=i: got.append(i)))
         engine.run()
-        assert len(got) == 8
+        assert sorted(got) == list(range(8))
         assert link.stats.get("wire_bytes") < 8 * FLIT_BYTES
 
     def test_every_packed_message_delivered_exactly_once(self):
         engine, link, chan = self._channel(packing=True)
         got = []
         for i in range(100):
-            chan.send(self._msg(5 + i % 20, lambda m: got.append(m.msg_id)))
+            chan.send(self._msg(5 + i % 20, lambda i=i: got.append(i)))
         engine.run()
-        assert len(got) == 100
-        assert len(set(got)) == 100
+        assert sorted(got) == list(range(100))
 
     def test_idle_link_flushes_immediately(self):
         engine, link, chan = self._channel(packing=True)
         arrivals = []
-        chan.send(self._msg(8, lambda m: arrivals.append(engine.now)))
+        chan.send(self._msg(8, lambda: arrivals.append(engine.now)))
         engine.run()
         # One small message on an idle link: no packing delay beyond
         # serialization + latency.
@@ -136,9 +135,10 @@ class TestPackedChannel:
     def test_large_messages_bypass_packer(self):
         engine, link, chan = self._channel(packing=True)
         got = []
-        chan.send(self._msg(128, lambda m: got.append(m.msg_id)))
+        message = self._msg(128, lambda: got.append(message))
+        chan.send(message)
         engine.run()
-        assert got
+        assert got == [message]
         assert chan.stats.get("direct_messages") == 1
 
     def test_packing_efficiency_metric(self):
@@ -194,6 +194,66 @@ class TestRouting:
         _engine, pool = build_pool(CommParams(device_bias=True))
         pool.fabric.route("d0.0", "d0.1")
         assert pool.fabric.switches["sw0"].stats.get("in_switch_turnarounds") == 1
+
+
+class TestPackedMultiHop:
+    """Packed channels driving messages across multi-hop routes."""
+
+    SENDS = 60
+
+    def _run(self):
+        engine, pool = build_pool(CommParams(data_packing=True,
+                                             device_bias=True))
+        fabric = pool.fabric
+        routes = {
+            # up, switch bus, down
+            "turnaround": fabric.route("d0.0", "d0.1"),
+            # up, switch bus, host link, host bus, back down: crosses
+            # sw0's bus twice
+            "detour": fabric.route("d0.0", "d0.1", force_host=True),
+        }
+        got = {name: [] for name in routes}
+        payloads = [4 + (i * 7) % 37 for i in range(self.SENDS)]
+        for i, size in enumerate(payloads):
+            for name, route in routes.items():
+                fabric.send(route, MessageKind.MEM_RESPONSE, size,
+                            on_delivered=lambda n=name, i=i: got[n].append(i))
+        engine.run()
+        return routes, got, payloads
+
+    def test_routes_have_the_expected_shape(self):
+        routes, _got, _payloads = self._run()
+        assert routes["turnaround"].hop_count == 3
+        assert not routes["turnaround"].via_host
+        assert routes["detour"].hop_count == 7
+        assert routes["detour"].via_host
+
+    def test_each_callback_fires_once_in_route_order(self):
+        _routes, got, _payloads = self._run()
+        for name in got:
+            assert got[name] == list(range(self.SENDS)), name
+
+    def test_wire_bytes_follow_the_flit_math(self):
+        routes, _got, payloads = self._run()
+        crossings = {}
+        for route in routes.values():
+            for chan in route.hops:
+                crossings[chan] = crossings.get(chan, 0) + 1
+        packed_bytes = sum(size + 2 for size in payloads)  # 2 B packed header
+        batched = False
+        for chan, times in crossings.items():
+            flits = chan.stats.get("packed_flits")
+            messages = chan.stats.get("packed_messages")
+            # Every payload is sub-flit: all of them ride the packer.
+            assert chan.stats.get("direct_messages") == 0
+            assert messages == times * self.SENDS
+            assert chan.stats.get("payload_bytes") == times * sum(payloads)
+            assert chan.link.stats.get("wire_bytes") == flits * FLIT_BYTES
+            # Packing never costs more than a flit per message, nor less
+            # than the packed bytes need.
+            assert -(-times * packed_bytes // FLIT_BYTES) <= flits <= messages
+            batched = batched or flits < messages
+        assert batched, "no hop ever packed two messages into one flush"
 
 
 class TestAccessPath:

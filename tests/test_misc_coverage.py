@@ -46,11 +46,6 @@ class TestMessageHeaders:
                      FLIT_BYTES - PACKED_HEADER_BYTES + 1, "d")
         assert m2.unpacked_wire_bytes == 2 * FLIT_BYTES
 
-    def test_message_ids_unique(self):
-        a = Message(MessageKind.TASK, 8, "d")
-        b = Message(MessageKind.TASK, 8, "d")
-        assert a.msg_id != b.msg_id
-
     def test_deliver_without_callback_is_noop(self):
         Message(MessageKind.TASK, 8, "d").deliver()
 
