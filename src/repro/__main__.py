@@ -18,14 +18,22 @@ Usage::
     python -m repro status runs.jsonl    # summarize a sweep run ledger
     python -m repro lint                 # simulator-aware static analysis
 
-Sweep points within a figure are independent simulations; ``--jobs N`` (or
-the ``REPRO_JOBS`` environment variable) fans them out over N processes
-with results identical to a serial run.  ``--trace-dir DIR`` collects one
-Perfetto trace per sweep point and ``--profile-dir DIR`` one latency-
-attribution report per sweep point; ``trace`` runs one figure in-process
-at quick scale and writes a single combined trace, ``profile`` does the
-same under the in-stream latency profiler and writes a ProfileReport plus
-a collapsed-stack flamegraph (see docs/OBSERVABILITY.md).
+Each verb is a subcommand that accepts only its own flags (``python -m
+repro VERB --help`` lists them); a flag another verb owns is a usage error
+(exit 2), never silently ignored.
+
+The figure verbs (``fig3`` … ``sec6g``, ``table1``, ``table2``, ``all``)
+and ``run`` share the sweep flags.  Sweep points within a figure are
+independent simulations; ``--jobs N`` (or the ``REPRO_JOBS`` environment
+variable) fans them out over N processes with results identical to a
+serial run.  ``--trace-dir DIR`` collects one Perfetto trace per sweep
+point and ``--profile-dir DIR`` one latency-attribution report per sweep
+point.  ``trace`` runs one scenario in-process at quick scale and writes
+a single combined trace; ``profile`` does the same under the in-stream
+latency profiler and writes a ProfileReport plus a collapsed-stack
+flamegraph (see docs/OBSERVABILITY.md).  ``run``, ``trace`` and
+``profile`` resolve their target the same way: canonical name, alias, or
+module-style spelling (``fig16_prealignment``).
 
 ``bench`` is a result verifier, not a timer: it runs every benched figure
 twice at quick scale — the production path (``--jobs``, caches on, default
@@ -48,7 +56,9 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 
+from repro.analysis import cli as lint_cli
 from repro.experiments import ExperimentScale, ParallelSweepRunner, tables
 from repro.experiments.scenarios import (
     SCENARIOS,
@@ -89,18 +99,45 @@ def _is_payload_path(target: str) -> bool:
     return target.endswith((".yaml", ".yml", ".json")) or os.sep in target
 
 
+def _resolve_target(parser, target: str) -> str:
+    """Canonical scenario name for a ``run``/``trace``/``profile`` target
+    (name, alias, or module-style spelling); a usage error if unknown."""
+    canonical = resolve_scenario(target)
+    if canonical is None:
+        parser.error(f"unknown scenario {target!r}; "
+                     f"known: {scenario_names()}")
+    return canonical
+
+
+def _sweep_runner(args) -> ParallelSweepRunner:
+    """The runner the sweep flags describe (figure verbs and ``run``)."""
+    return ParallelSweepRunner(jobs=args.jobs, trace_dir=args.trace_dir,
+                               profile_dir=args.profile_dir,
+                               ledger_path=args.ledger,
+                               progress=args.progress or None)
+
+
+def _sweep_scale(args) -> ExperimentScale:
+    return ExperimentScale.quick() if args.quick else ExperimentScale.bench()
+
+
+def _run_experiments(args, parser) -> int:
+    """A figure verb (or ``all``): regenerate its tables and figures."""
+    runner = _sweep_runner(args)
+    scale = _sweep_scale(args)
+    for name in args.experiments:
+        description, run = EXPERIMENTS[name]
+        print(f"\n=== {name}: {description} ===")
+        started = time.time()
+        run(scale, runner)
+        print(f"[{name} took {time.time() - started:.1f}s]")
+    return 0
+
+
 def _run_scenario(args, parser) -> int:
     """``python -m repro run <scenario-or-payload>``: execute one
     registered scenario (canonical name or alias) or a DSL payload file
     through the unified scenario layer."""
-    if args.target is None:
-        parser.error(f"run needs a scenario: one of {scenario_names()} "
-                     "(or a payload file, see docs/SCENARIOS.md)")
-    runner = ParallelSweepRunner(jobs=args.jobs, trace_dir=args.trace_dir,
-                                 profile_dir=args.profile_dir,
-                                 ledger_path=args.ledger,
-                                 progress=args.progress or None)
-    scale = ExperimentScale.quick() if args.quick else ExperimentScale.bench()
     if _is_payload_path(args.target):
         from repro.experiments import dsl
 
@@ -112,16 +149,16 @@ def _run_scenario(args, parser) -> int:
         # No wall-clock footer here: payload runs must be bit-identical
         # across invocations (the DSL's determinism contract).
         print(f"\n=== {spec.name}: {spec.title} ===")
-        spec.main(scale, runner=runner)
+        spec.main(_sweep_scale(args), runner=_sweep_runner(args))
         return 0
-    canonical = resolve_scenario(args.target)
-    if canonical is None:
-        parser.error(f"unknown scenario {args.target!r}; "
-                     f"known: {scenario_names()}")
+    if args.seed is not None:
+        parser.error(f"--seed overrides a payload file's seed; "
+                     f"{args.target!r} is a registered scenario")
+    canonical = _resolve_target(parser, args.target)
     spec = get_scenario(canonical)
     print(f"\n=== {canonical}: {spec.title} ===")
     started = time.time()
-    spec.main(scale, runner=runner)
+    spec.main(_sweep_scale(args), runner=_sweep_runner(args))
     print(f"[{canonical} took {time.time() - started:.1f}s]")
     return 0
 
@@ -131,14 +168,12 @@ def _run_validate(args, parser) -> int:
     file without running it."""
     from repro.experiments import dsl
 
-    if args.target is None:
-        parser.error("validate needs a payload file (YAML or JSON)")
     try:
-        payload = dsl.validate_payload(dsl.load_payload(args.target))
+        payload = dsl.validate_payload(dsl.load_payload(args.payload))
     except (dsl.PayloadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"ok: {args.target} -> scenario {payload.name!r} "
+    print(f"ok: {args.payload} -> scenario {payload.name!r} "
           f"(kind {payload.kind}; backends {', '.join(payload.backends)})")
     return 0
 
@@ -181,16 +216,44 @@ def _list_json() -> str:
     }, indent=2, sort_keys=True)
 
 
+def _run_list(args, parser) -> int:
+    """``python -m repro list``: the artifact and scenario catalogue."""
+    if args.json:
+        print(_list_json())
+        return 0
+    for name, (description, _run) in sorted(EXPERIMENTS.items()):
+        print(f"  {name:8s} {description}")
+    print("  bench    verify every figure bit-identical at quick scale "
+          "-> BENCH_results.json")
+    print("  run      any registered scenario by name or alias "
+          "(or a payload file, see docs/SCENARIOS.md):")
+    for name in scenario_names():
+        spec = SCENARIOS[name]
+        alias_note = (f"  (aliases: {', '.join(spec.aliases)})"
+                      if spec.aliases else "")
+        print(f"    {name:14s} {spec.title}{alias_note}")
+    print("  validate  schema-check a scenario payload file")
+    print("  catalogue scenario table (--markdown / --check)")
+    print("  trace    one traced figure run -> Perfetto JSON")
+    print("  profile  one profiled figure run -> latency attribution")
+    print("  status   summarize a sweep run ledger "
+          "(--ledger FILE / $REPRO_LEDGER)")
+    print("  lint     simulator-aware static analysis (determinism, "
+          "cycle-safety, trace discipline, whole-program call-graph "
+          "rules)")
+    if args.dsl:
+        from repro.experiments.dsl import schema_reference
+
+        print()
+        print(schema_reference())
+    return 0
+
+
 def _run_trace(args, parser) -> int:
     """``python -m repro trace <figure>``: one traced quick-scale run."""
     from repro.obs import TRACE_CATEGORIES, TraceSession, busiest_components
-    from repro.perf.harness import BENCH_FIGURES
 
-    figure = args.target
-    if figure is None or figure not in BENCH_FIGURES:
-        parser.error(
-            f"trace needs a figure to run: one of {sorted(BENCH_FIGURES)}"
-        )
+    figure = _resolve_target(parser, args.figure)
     categories = None
     if args.trace_filter:
         categories = frozenset(
@@ -202,8 +265,6 @@ def _run_trace(args, parser) -> int:
                 f"unknown trace categories {sorted(unknown)}; "
                 f"known: {list(TRACE_CATEGORIES)}"
             )
-    if args.jobs is not None and args.jobs > 1:
-        print("[trace] note: traced runs are in-process; ignoring --jobs")
     metrics_interval = args.metrics_interval
     if metrics_interval is None and args.metrics_out:
         from repro.obs.session import DEFAULT_METRICS_INTERVAL
@@ -218,7 +279,7 @@ def _run_trace(args, parser) -> int:
     runner = ParallelSweepRunner(jobs=1)
     started = time.time()
     with session:
-        BENCH_FIGURES[figure](ExperimentScale.quick(), runner=runner)
+        SCENARIOS[figure].run(ExperimentScale.quick(), runner=runner)
     elapsed = time.time() - started
     recorder = session.recorder
     session.save(args.trace_out, metrics_path=args.metrics_out or None)
@@ -248,13 +309,12 @@ def _profile_delays(figure: str) -> int:
     timeout flushes), which is exactly the shape a bucket-per-cycle
     calendar queue with a sparse overflow exploits.
     """
-    from repro.perf.harness import BENCH_FIGURES
     from repro.sim.engine import Engine
 
     runner = ParallelSweepRunner(jobs=1)
     started = time.time()
     with Engine.record_delay_histogram() as histogram:
-        BENCH_FIGURES[figure](ExperimentScale.quick(), runner=runner)
+        SCENARIOS[figure].run(ExperimentScale.quick(), runner=runner)
     elapsed = time.time() - started
     total = sum(histogram.values())
     if not total:
@@ -288,29 +348,23 @@ def _run_profile(args, parser) -> int:
         render_summary,
         write_flamegraph,
     )
-    from repro.perf.harness import BENCH_FIGURES, resolve_figure
 
     if args.diff:
+        if args.delays:
+            parser.error("--delays profiles a figure run; "
+                         "it cannot be combined with --diff")
         path_a, path_b = args.diff
-        deltas = diff_reports(ProfileReport.load(path_a),
-                              ProfileReport.load(path_b))
+        try:
+            deltas = diff_reports(ProfileReport.load(path_a),
+                                  ProfileReport.load(path_b))
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"[profile] attribution deltas, {path_a} -> {path_b}:")
         print(format_diff(deltas), end="")
         return 0
 
-    if args.target is None:
-        parser.error(
-            "profile needs a figure to run (one of "
-            f"{sorted(BENCH_FIGURES)}) or --diff A.json B.json"
-        )
-    figure = resolve_figure(args.target)
-    if figure is None:
-        parser.error(
-            f"unknown figure {args.target!r}; known: {sorted(BENCH_FIGURES)}"
-        )
-    if args.jobs is not None and args.jobs > 1:
-        print("[profile] note: profiled runs are in-process; ignoring --jobs")
-
+    figure = _resolve_target(parser, args.figure)
     if args.delays:
         return _profile_delays(figure)
 
@@ -318,7 +372,7 @@ def _run_profile(args, parser) -> int:
     runner = ParallelSweepRunner(jobs=1)
     started = time.time()
     with session:
-        BENCH_FIGURES[figure](ExperimentScale.quick(), runner=runner)
+        SCENARIOS[figure].run(ExperimentScale.quick(), runner=runner)
     elapsed = time.time() - started
     report = session.profile_report(figure=figure, scale="quick")
     report.save(args.profile_out)
@@ -345,11 +399,8 @@ def _run_status(args, parser) -> int:
         summarize_ledger,
     )
 
-    if args.target is None:
-        parser.error("status needs a ledger file (written via --ledger "
-                     "FILE or $REPRO_LEDGER; see docs/OBSERVABILITY.md)")
     try:
-        events = read_ledger(args.target)
+        events = read_ledger(args.ledger)
     except (LedgerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -374,179 +425,164 @@ def _run_bench(args, parser) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    """Run the experiment and print the paper-style rows."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # The lint pass has its own flag set (--json/--rule/...); hand the
-        # rest of the command line to its parser untouched.
-        from repro.analysis.cli import main as lint_main
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for an integer flag with a lower bound, so a bad
+    value is a usage error naming the flag rather than a later traceback."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
-        return lint_main(list(argv[1:]))
+
+_JOBS_HELP = ("fan independent sweep points out over N processes "
+              "(default: $REPRO_JOBS or 1)")
+
+
+def _add_sweep_flags(parser) -> None:
+    """The flags of the figure verbs and ``run``: scale, fan-out, and the
+    per-sweep-job observers."""
+    parser.add_argument("--quick", action="store_true",
+                        help="smoke scale (seconds instead of minutes)")
+    parser.add_argument("--jobs", type=_int_at_least(1), default=None,
+                        metavar="N", help=_JOBS_HELP)
+    parser.add_argument("--trace-dir", default=None, metavar="DIR",
+                        help="write one trace per sweep job into DIR "
+                             "(also $REPRO_TRACE_DIR)")
+    parser.add_argument("--profile-dir", default=None, metavar="DIR",
+                        help="write one latency-attribution report per "
+                             "sweep job into DIR (also $REPRO_PROFILE_DIR)")
+    parser.add_argument("--ledger", default=None, metavar="FILE",
+                        help="append one JSONL lifecycle event per sweep "
+                             "job to FILE (also $REPRO_LEDGER; summarize "
+                             "with 'status')")
+    parser.add_argument("--progress", action="store_true",
+                        help="draw an in-terminal progress line on stderr "
+                             "as sweep jobs complete (also "
+                             "$REPRO_PROGRESS=1)")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole CLI: one subparser per verb, each declaring only the
+    flags its handler reads, dispatched via ``set_defaults(handler=...)``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the BEACON paper's evaluation artifacts.",
     )
-    parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["all", "list", "bench",
-                                                       "run", "trace",
-                                                       "profile", "lint",
-                                                       "validate",
-                                                       "catalogue",
-                                                       "status"],
-                        help="which table/figure to regenerate ('run' "
-                             "executes any registered scenario by name or "
-                             "alias, or a DSL payload file; 'validate' "
-                             "schema-checks a payload file; 'catalogue' "
-                             "prints the scenario table; 'bench' verifies "
-                             "every figure's results against a serial, "
-                             "uncached reference and writes their digests; "
-                             "'trace' runs one figure at quick "
-                             "scale with tracing on; 'profile' runs one "
-                             "figure under the latency profiler; 'status' "
-                             "summarizes a sweep run ledger; 'lint' "
-                             "runs the simulator-aware static-analysis "
-                             "pass)")
-    parser.add_argument("target", nargs="?", default=None,
-                        help="run/trace/profile/validate/status only: the "
-                             "scenario, figure, payload file, or ledger "
-                             "file to act on")
-    parser.add_argument("--quick", action="store_true",
-                        help="smoke scale (seconds instead of minutes)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="fan independent sweep points out over N "
-                             "processes (default: $REPRO_JOBS or 1)")
-    parser.add_argument("--trace-out", default="trace.json", metavar="FILE",
-                        help="trace only: Perfetto JSON output path "
-                             "(default: %(default)s)")
-    parser.add_argument("--trace-filter", default=None, metavar="CATS",
-                        help="trace only: comma-separated categories to "
-                             "keep (dram,cxl,ndp,mem; default: all)")
-    parser.add_argument("--trace-limit", type=int, default=None, metavar="N",
-                        help="trace only: cap recorded events at N "
-                             "(default: 2,000,000)")
-    parser.add_argument("--metrics-out", default=None, metavar="FILE",
-                        help="trace only: also write sampled StatScope "
-                             "counters as CSV")
-    parser.add_argument("--metrics-interval", type=int, default=None,
-                        metavar="CYCLES",
-                        help="trace only: metric sampling interval in "
-                             "simulated cycles (default: 50,000)")
-    parser.add_argument("--trace-dir", default=None, metavar="DIR",
-                        help="figure runs: write one trace per sweep job "
-                             "into DIR (also $REPRO_TRACE_DIR)")
-    parser.add_argument("--profile-dir", default=None, metavar="DIR",
-                        help="figure runs: write one latency-attribution "
-                             "report per sweep job into DIR (also "
-                             "$REPRO_PROFILE_DIR)")
-    parser.add_argument("--profile-out", default="profile.json",
-                        metavar="FILE",
-                        help="profile only: ProfileReport JSON output path "
-                             "(default: %(default)s)")
-    parser.add_argument("--flame-out", default="profile.folded",
-                        metavar="FILE",
-                        help="profile only: collapsed-stack flamegraph "
-                             "output path (default: %(default)s)")
-    parser.add_argument("--diff", nargs=2, default=None,
+    verbs = parser.add_subparsers(dest="experiment", required=True)
+
+    def verb(name, handler, help):
+        sub = verbs.add_parser(name, help=help, description=help)
+        sub.set_defaults(handler=partial(handler, parser=sub))
+        return sub
+
+    for name in sorted(EXPERIMENTS):
+        sub = verb(name, _run_experiments, EXPERIMENTS[name][0])
+        sub.set_defaults(experiments=[name])
+        _add_sweep_flags(sub)
+    sub = verb("all", _run_experiments, "every table and figure, in order")
+    sub.set_defaults(experiments=sorted(EXPERIMENTS))
+    _add_sweep_flags(sub)
+
+    sub = verb("list", _run_list, "what can be regenerated")
+    sub.add_argument("--json", action="store_true",
+                     help="emit the catalogue as JSON")
+    sub.add_argument("--dsl", action="store_true",
+                     help="also print the scenario-payload schema reference")
+
+    sub = verb("bench", _run_bench,
+               "verify every figure's results against a serial, uncached "
+               "reference and write their digests to BENCH_results.json")
+    sub.add_argument("--jobs", type=_int_at_least(1), default=None,
+                     metavar="N", help=_JOBS_HELP)
+
+    sub = verb("run", _run_scenario,
+               "execute any registered scenario by name or alias, or a "
+               "DSL payload file")
+    sub.add_argument("target", metavar="scenario",
+                     help="scenario name, alias, or payload file "
+                          "(YAML/JSON, see docs/SCENARIOS.md)")
+    _add_sweep_flags(sub)
+    sub.add_argument("--seed", type=int, default=None, metavar="N",
+                     help="payload files only: override the payload's seed")
+
+    sub = verb("trace", _run_trace,
+               "run one figure at quick scale with tracing on")
+    sub.add_argument("figure", help="scenario name or alias")
+    sub.add_argument("--trace-out", default="trace.json", metavar="FILE",
+                     help="Perfetto JSON output path (default: %(default)s)")
+    sub.add_argument("--trace-filter", default=None, metavar="CATS",
+                     help="comma-separated categories to keep "
+                          "(dram,cxl,ndp,mem; default: all)")
+    sub.add_argument("--trace-limit", type=_int_at_least(0), default=None,
+                     metavar="N",
+                     help="cap recorded events at N (default: 2,000,000)")
+    sub.add_argument("--metrics-out", default=None, metavar="FILE",
+                     help="also write sampled StatScope counters as CSV")
+    sub.add_argument("--metrics-interval", type=_int_at_least(1),
+                     default=None, metavar="CYCLES",
+                     help="metric sampling interval in simulated cycles "
+                          "(default: 50,000)")
+
+    sub = verb("profile", _run_profile,
+               "run one figure under the latency profiler, or compare two "
+               "saved reports")
+    target = sub.add_mutually_exclusive_group(required=True)
+    target.add_argument("figure", nargs="?", default=None,
+                        help="scenario name or alias")
+    target.add_argument("--diff", nargs=2, default=None,
                         metavar=("A.json", "B.json"),
-                        help="profile only: compare two saved "
-                             "ProfileReports and rank attribution deltas")
-    parser.add_argument("--delays", action="store_true",
-                        help="profile only: print the schedule-delay "
-                             "histogram of one serial quick-scale run "
-                             "(the distribution the calendar scheduler's "
-                             "bucketing is tuned against)")
-    parser.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="run only, payload files: override the "
-                             "payload's seed")
-    parser.add_argument("--json", action="store_true",
-                        help="list/status: emit the catalogue or ledger "
-                             "summary as JSON")
-    parser.add_argument("--dsl", action="store_true",
-                        help="list only: also print the scenario-payload "
-                             "schema reference")
-    parser.add_argument("--markdown", action="store_true",
-                        help="catalogue only: emit a markdown table "
-                             "(the docs/SCENARIOS.md copy)")
-    parser.add_argument("--check", action="store_true",
-                        help="catalogue only: verify the committed copy "
-                             "in docs/SCENARIOS.md matches the registry")
-    parser.add_argument("--ledger", default=None, metavar="FILE",
-                        help="figure runs: append one JSONL lifecycle "
-                             "event per sweep job to FILE (also "
-                             "$REPRO_LEDGER; summarize with 'status')")
-    parser.add_argument("--progress", action="store_true",
-                        help="figure runs: draw an in-terminal progress "
-                             "line on stderr as sweep jobs complete "
-                             "(also $REPRO_PROGRESS=1)")
-    args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+                        help="compare two saved ProfileReports and rank "
+                             "attribution deltas")
+    sub.add_argument("--delays", action="store_true",
+                     help="print the schedule-delay histogram of one "
+                          "serial quick-scale run (the distribution the "
+                          "calendar scheduler's bucketing is tuned against)")
+    sub.add_argument("--profile-out", default="profile.json", metavar="FILE",
+                     help="ProfileReport JSON output path "
+                          "(default: %(default)s)")
+    sub.add_argument("--flame-out", default="profile.folded", metavar="FILE",
+                     help="collapsed-stack flamegraph output path "
+                          "(default: %(default)s)")
 
-    if args.experiment == "trace":
-        return _run_trace(args, parser)
-    if args.experiment == "profile":
-        return _run_profile(args, parser)
-    if args.experiment == "run":
-        return _run_scenario(args, parser)
-    if args.experiment == "validate":
-        return _run_validate(args, parser)
-    if args.experiment == "catalogue":
-        return _run_catalogue(args, parser)
-    if args.experiment == "status":
-        return _run_status(args, parser)
-    if args.target is not None:
-        parser.error("a second positional argument is only valid for "
-                     "'run', 'trace', 'profile', 'validate', and 'status'")
+    sub = verb("lint", lint_cli.run,
+               "simulator-aware static analysis: determinism, "
+               "cycle-safety, trace-discipline, and whole-program "
+               "(call-graph) lints")
+    lint_cli.add_arguments(sub)
 
-    if args.experiment == "list":
-        if args.json:
-            print(_list_json())
-            return 0
-        for name, (description, _run) in sorted(EXPERIMENTS.items()):
-            print(f"  {name:8s} {description}")
-        print("  bench    verify every figure bit-identical at quick scale "
-              "-> BENCH_results.json")
-        print("  run      any registered scenario by name or alias "
-              "(or a payload file, see docs/SCENARIOS.md):")
-        for name in scenario_names():
-            spec = SCENARIOS[name]
-            alias_note = (f"  (aliases: {', '.join(spec.aliases)})"
-                          if spec.aliases else "")
-            print(f"    {name:14s} {spec.title}{alias_note}")
-        print("  validate  schema-check a scenario payload file")
-        print("  catalogue scenario table (--markdown / --check)")
-        print("  trace    one traced figure run -> Perfetto JSON")
-        print("  profile  one profiled figure run -> latency attribution")
-        print("  status   summarize a sweep run ledger "
-              "(--ledger FILE / $REPRO_LEDGER)")
-        print("  lint     simulator-aware static analysis (determinism, "
-              "cycle-safety, trace discipline, whole-program call-graph "
-              "rules)")
-        if args.dsl:
-            from repro.experiments.dsl import schema_reference
+    sub = verb("validate", _run_validate,
+               "schema-check a scenario payload file without running it")
+    sub.add_argument("payload", help="payload file (YAML or JSON)")
 
-            print()
-            print(schema_reference())
-        return 0
+    sub = verb("catalogue", _run_catalogue, "the registered-scenario table")
+    sub.add_argument("--markdown", action="store_true",
+                     help="emit a markdown table (the docs/SCENARIOS.md "
+                          "copy)")
+    sub.add_argument("--check", action="store_true",
+                     help="verify the committed copy in docs/SCENARIOS.md "
+                          "matches the registry")
 
-    if args.experiment == "bench":
-        return _run_bench(args, parser)
+    sub = verb("status", _run_status, "summarize a sweep run ledger")
+    sub.add_argument("ledger",
+                     help="ledger file (written via --ledger FILE or "
+                          "$REPRO_LEDGER; see docs/OBSERVABILITY.md)")
+    sub.add_argument("--json", action="store_true",
+                     help="emit the ledger summary as JSON")
+    return parser
 
-    runner = ParallelSweepRunner(jobs=args.jobs, trace_dir=args.trace_dir,
-                                 profile_dir=args.profile_dir,
-                                 ledger_path=args.ledger,
-                                 progress=args.progress or None)
-    scale = ExperimentScale.quick() if args.quick else ExperimentScale.bench()
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        description, run = EXPERIMENTS[name]
-        print(f"\n=== {name}: {description} ===")
-        started = time.time()
-        run(scale, runner)
-        print(f"[{name} took {time.time() - started:.1f}s]")
-    return 0
+
+def main(argv=None) -> int:
+    """Parse ``argv`` (default: ``sys.argv[1:]``) and run the chosen verb;
+    returns its exit code (argparse exits 2 on usage errors)."""
+    args = _build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

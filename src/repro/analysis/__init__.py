@@ -21,8 +21,7 @@ Entry points:
 
 * ``python -m repro lint`` (see :mod:`repro.analysis.cli`) — the CLI,
   wired into ``make lint`` and CI; ``--no-program`` skips the
-  whole-program layer, ``--changed`` scopes per-file rules to
-  git-touched files, ``--sarif`` exports SARIF 2.1.0.
+  whole-program layer.
 * :func:`lint_paths` / :func:`lint_file` / :func:`lint_source` — the
   programmatic API; :data:`RULES` and :data:`PROGRAM_RULES` are the
   registries.
@@ -51,9 +50,7 @@ from repro.analysis.framework import (
 from repro.analysis import rules as _rules  # noqa: F401  (registers the rule set)
 from repro.analysis.rules import ORDERED_OUTPUT_DIRS, SIM_DIRS
 from repro.analysis import program as _program  # noqa: F401  (registers program rules)
-from repro.analysis.cache import LintCache
 from repro.analysis.program import Project, summarize_source
-from repro.analysis.sarif import to_sarif
 
 __all__ = [
     "BARE_SUPPRESSION",
@@ -64,7 +61,6 @@ __all__ = [
     "RULES",
     "SIM_DIRS",
     "Finding",
-    "LintCache",
     "LintReport",
     "Module",
     "ProgramRule",
@@ -77,5 +73,4 @@ __all__ = [
     "register",
     "register_program",
     "summarize_source",
-    "to_sarif",
 ]

@@ -4,13 +4,14 @@ Usage::
 
     python -m repro lint                      # per-file + whole-program rules
     python -m repro lint --json lint.json     # also write the machine report
-    python -m repro lint --sarif lint.sarif   # SARIF 2.1.0 for CI annotations
     python -m repro lint --rule no-wall-clock # run a subset of rules
-    python -m repro lint --changed            # per-file rules on touched files
     python -m repro lint --no-program         # per-file rules only
-    python -m repro lint --no-cache           # ignore the warm-lint cache
     python -m repro lint --list-rules         # what exists, with scopes
     python -m repro lint path/to/file.py dir/ # explicit targets
+
+The ``lint`` verb is one subcommand of the ``python -m repro`` parser
+(:mod:`repro.__main__`): :func:`add_arguments` declares its flags there
+and :func:`run` is its handler.
 
 Exit status: 0 when no unsuppressed findings remain, 1 otherwise, 2 on
 usage errors.  See docs/ANALYSIS.md for the rule catalogue (per-file and
@@ -21,19 +22,10 @@ schema with its cross-file witness chains.
 
 from __future__ import annotations
 
-import argparse
 import json
-import subprocess
-import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
 
-from repro.analysis.framework import (
-    PROGRAM_RULES,
-    RULES,
-    default_root,
-    lint_paths,
-)
+from repro.analysis.framework import PROGRAM_RULES, RULES, lint_paths
 
 
 def _print_rules() -> None:
@@ -50,38 +42,8 @@ def _print_rules() -> None:
         print(f"  {'':<{width}}  scope: {scope_note}")
 
 
-def _changed_relpaths() -> Optional[List[str]]:
-    """Repo relpaths (relative to src/) of git-modified python files."""
-    src_dir = default_root().parent
-    repo_root = src_dir.parent
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(repo_root), "diff", "--name-only", "HEAD"],
-            capture_output=True, text=True, check=True, timeout=30,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    changed: List[str] = []
-    for name in proc.stdout.splitlines():
-        name = name.strip()
-        if not name.endswith(".py"):
-            continue
-        absolute = (repo_root / name).resolve()
-        try:
-            changed.append(absolute.relative_to(src_dir.resolve()).as_posix())
-        except ValueError:
-            continue  # outside src/ — not lintable by the default target
-    return sorted(set(changed))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for ``python -m repro lint``; returns the exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lint",
-        description="Simulator-aware static analysis: determinism, "
-                    "cycle-safety, trace-discipline, and whole-program "
-                    "(call-graph) lints.",
-    )
+def add_arguments(parser) -> None:
+    """Declare the ``lint`` verb's flags on its subparser."""
     parser.add_argument("paths", nargs="*", metavar="PATH",
                         help="files or directories to lint "
                              "(default: the in-tree repro package)")
@@ -89,32 +51,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default=None,
                         help="write the machine-readable report "
                              "(schema repro-lint/2) to FILE")
-    parser.add_argument("--sarif", dest="sarif_out", metavar="FILE",
-                        default=None,
-                        help="write a SARIF 2.1.0 log to FILE "
-                             "(for CI inline annotations)")
     parser.add_argument("--rule", dest="rules", action="append",
                         metavar="ID", default=None,
                         help="run only this rule (repeatable); "
                              "default: all rules")
     parser.add_argument("--no-program", action="store_true",
                         help="skip the whole-program (call-graph) rules")
-    parser.add_argument("--changed", action="store_true",
-                        help="report per-file findings only for files "
-                             "touched per 'git diff --name-only HEAD' "
-                             "(whole-program rules still see everything)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the warm-lint cache")
-    parser.add_argument("--cache-file", metavar="FILE", default=None,
-                        help="cache location (default: "
-                             ".repro-lint-cache.json at the repo root, "
-                             "or $REPRO_LINT_CACHE)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="also print suppressed findings")
-    args = parser.parse_args(argv)
 
+
+def run(args, parser) -> int:
+    """Handler for ``python -m repro lint``; returns the exit code."""
     if args.list_rules:
         _print_rules()
         return 0
@@ -133,28 +83,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if missing:
             parser.error(f"no such file or directory: {missing}")
 
-    changed_only = None
-    if args.changed:
-        changed_only = _changed_relpaths()
-        if changed_only is None:
-            print("[lint] --changed: git unavailable, linting everything",
-                  file=sys.stderr)
-
-    cache = None
-    if not args.no_cache and args.rules is None:
-        from repro.analysis.cache import LintCache
-
-        cache_path = Path(args.cache_file) if args.cache_file else None
-        cache = LintCache(cache_path)
-
-    report = lint_paths(
-        targets, rules=args.rules,
-        program=not args.no_program,
-        cache=cache,
-        changed_only=changed_only,
-    )
-    if cache is not None:
-        cache.save()
+    report = lint_paths(targets, rules=args.rules,
+                        program=not args.no_program)
 
     for finding in report.findings:
         if finding.suppressed:
@@ -169,18 +99,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.json_out:
         payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         Path(args.json_out).write_text(payload + "\n", encoding="utf-8")
-    if args.sarif_out:
-        from repro.analysis.sarif import to_sarif
-
-        payload = json.dumps(to_sarif(report), indent=2, sort_keys=True)
-        Path(args.sarif_out).write_text(payload + "\n", encoding="utf-8")
 
     active = report.active
     print(f"[lint] {report.files_scanned} files, "
           f"{len(report.rules_run)} rules: "
           f"{len(active)} finding(s), {len(report.suppressed)} suppressed")
     return 1 if active else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro
-    sys.exit(main())

@@ -541,24 +541,12 @@ def lint_paths(
     rules: Optional[Sequence[str]] = None,
     *,
     program: bool = True,
-    cache=None,
-    changed_only: Optional[Sequence[str]] = None,
 ) -> LintReport:
     """Lint files/directories (default: the in-tree ``repro`` package).
 
     ``program=True`` (the default) additionally runs the whole-program
     rules in :data:`PROGRAM_RULES` over a project-wide call graph built
     from every scanned file — see :mod:`repro.analysis.program`.
-
-    ``cache`` accepts a :class:`repro.analysis.cache.LintCache`; it is
-    consulted only for full-rule-set runs (``rules is None``) and stores
-    per-file findings plus the program-analysis module summary keyed by
-    file content, so warm re-lints skip parsing entirely.
-
-    ``changed_only`` restricts *per-file* findings to the given repo
-    relpaths (``--changed`` mode); whole-program rules still see the
-    full graph, since a cross-module regression can be introduced by a
-    file that did not itself change.
     """
     if paths is None:
         root = default_root()
@@ -569,10 +557,6 @@ def lint_paths(
         base = None
     selected_file_rules = _select_rules(rules)  # validates unknown ids too
     selected_program = _select_program_rules(rules) if program else []
-    need_summaries = bool(selected_program)
-    cache_usable = cache is not None and rules is None
-    changed = (None if changed_only is None
-               else {str(rel) for rel in changed_only})
 
     findings: List[Finding] = []
     summaries: List[Tuple[str, Dict[str, object]]] = []
@@ -581,22 +565,11 @@ def lint_paths(
         files_scanned += 1
         relpath = _relpath_for(path, base, owner)
         source = path.read_text(encoding="utf-8")
-        entry = cache.lookup(relpath, source) if cache_usable else None
-        if entry is not None:
-            file_findings, summary = entry
-        else:
-            file_findings = lint_source(source, relpath, rules=rules)
-            summary = None
-            if need_summaries or cache_usable:
-                from repro.analysis.program import summarize_source
+        findings.extend(lint_source(source, relpath, rules=rules))
+        if selected_program:
+            from repro.analysis.program import summarize_source
 
-                summary = summarize_source(source, relpath)
-            if cache_usable:
-                cache.store(relpath, source, file_findings, summary)
-        if changed is None or relpath in changed:
-            findings.extend(file_findings)
-        if need_summaries and summary is not None:
-            summaries.append((relpath, summary))
+            summaries.append((relpath, summarize_source(source, relpath)))
     if selected_program:
         from repro.analysis.program import analyze
 

@@ -81,7 +81,7 @@ _JOB_CTOR_NAMES = ("SweepJob", "pipeline")
 _MODULE_FN = "<module>"
 
 
-# -- summarization (per file, cacheable) ---------------------------------------
+# -- summarization (per file) --------------------------------------------------
 
 def _module_name(relpath: str) -> Tuple[str, bool]:
     """Dotted module name for a repo relpath, plus is-package-__init__."""

@@ -15,8 +15,8 @@ ParallelSweepRunner` path serial or parallel.
 The registry also owns name resolution: canonical names (``fig12``),
 declared aliases, and the historical module-style spellings
 (``fig12_fm_seeding``, ``fig12-fm-seeding``) all resolve via
-:func:`resolve_scenario`, which the perf harness' ``resolve_figure``
-and the CLI's ``python -m repro run <scenario>`` both use.
+:func:`resolve_scenario`, which the CLI's ``run``, ``trace`` and
+``profile`` verbs all use.
 
 Scenario modules register themselves at import time
 (:func:`register_scenario` at module scope); :func:`ensure_registered`

@@ -12,7 +12,6 @@ from repro.perf.harness import (
     BenchMismatchError,
     bench_figures,
     fingerprint,
-    resolve_figure,
     run_bench,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "BenchMismatchError",
     "bench_figures",
     "fingerprint",
-    "resolve_figure",
     "run_bench",
 ]

@@ -48,11 +48,7 @@ from typing import (
 
 from repro.core.metrics import Report
 from repro.experiments import ExperimentScale, ParallelSweepRunner
-from repro.experiments.scenarios import (
-    SCENARIOS,
-    ensure_registered,
-    resolve_scenario,
-)
+from repro.experiments.scenarios import SCENARIOS, ensure_registered
 from repro.genomics import index_cache
 from repro.schemas import SCHEMAS
 from repro.sim.scheduler import DEFAULT_SCHEDULER, SCHEDULER_ENV, HeapScheduler
@@ -67,19 +63,6 @@ ensure_registered()
 BENCH_FIGURES: Dict[str, Callable[..., Any]] = {
     name: spec.run for name, spec in SCENARIOS.items()
 }
-
-
-def resolve_figure(name: str) -> Optional[str]:
-    """Resolve a figure name or alias to its :data:`BENCH_FIGURES` key.
-
-    Delegates to the scenario registry's
-    :func:`~repro.experiments.scenarios.resolve_scenario`, so the bench
-    key itself (``fig16``), declared aliases, and the experiment-module
-    style (``fig16_prealignment``, ``fig16-prealignment``) all work;
-    returns ``None`` when nothing matches.
-    """
-    canonical = resolve_scenario(name)
-    return canonical if canonical in BENCH_FIGURES else None
 
 
 # -- result fingerprinting ---------------------------------------------------------

@@ -22,8 +22,11 @@ from repro.analysis import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.cli import main as lint_cli
 from repro.obs.recorder import TRACE_CATEGORIES
+
+
+def lint_cli(argv):
+    return repro_main.main(["lint", *argv])
 
 
 def findings_for(source, relpath="repro/sim/fake.py", rules=None):

@@ -391,6 +391,13 @@ class TestCli:
         assert "hash-topology" in out
         assert "num_switches=2" in out
 
+    def test_run_payload_with_seed_override(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["run", "examples/multi_tenant.yaml", "--quick",
+                     "--seed", "7"]) == 0
+        assert "=== mt-example:" in capsys.readouterr().out
+
     def test_run_reports_payload_errors_without_traceback(self, capsys,
                                                           tmp_path):
         from repro.__main__ import main
@@ -406,8 +413,10 @@ class TestCli:
     def test_validate_accepts_and_rejects(self, capsys, tmp_path):
         from repro.__main__ import main
 
-        assert main(["validate", "examples/multi_tenant.yaml"]) == 0
-        assert "ok:" in capsys.readouterr().out
+        for name in ("examples/multi_tenant.yaml",
+                     "examples/custom_scenario.yaml"):
+            assert main(["validate", name]) == 0
+            assert "ok:" in capsys.readouterr().out
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: x\n")
         assert main(["validate", str(bad)]) == 2

@@ -30,7 +30,8 @@ from repro.obs import (
     write_flamegraph,
 )
 from repro.obs.profile import build_report
-from repro.perf.harness import _digest, resolve_figure
+from repro.experiments.scenarios import resolve_scenario
+from repro.perf.harness import _digest
 
 TCK = 1.25
 
@@ -511,6 +512,7 @@ class TestProfileCli:
         report = ProfileReport.load(profile_out)
         assert report.figure == "fig16"
         assert report.schema == PROFILE_SCHEMA
+        assert report.systems, "no systems profiled"
         for system in report.systems.values():
             requests = system["requests"]
             assert (
@@ -539,10 +541,31 @@ class TestProfileCli:
             main(["profile", "nope"])
 
     def test_resolve_figure_aliases(self):
-        assert resolve_figure("fig16") == "fig16"
-        assert resolve_figure("fig16_prealignment") == "fig16"
-        assert resolve_figure("fig12-fm-seeding") == "fig12"
-        assert resolve_figure("nope") is None
+        # run, trace and profile all resolve their target this way.
+        assert resolve_scenario("fig16") == "fig16"
+        assert resolve_scenario("fig16_prealignment") == "fig16"
+        assert resolve_scenario("fig12-fm-seeding") == "fig12"
+        assert resolve_scenario("nope") is None
+
+    def test_profile_diff_missing_file_is_a_clean_error(self, tmp_path,
+                                                       capsys):
+        a = str(tmp_path / "a.json")
+        _synthetic_report(queue=1000).save(a)
+        assert main(["profile", "--diff", a, str(tmp_path / "gone.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "gone.json" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["profile", "fig3", "--diff", "a.json", "b.json"], "--diff"),
+        (["profile", "--diff", "a.json", "b.json", "--delays"], "--delays"),
+    ])
+    def test_diff_excludes_figure_and_delays(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 # -- per-job profiles through the runner -------------------------------------------

@@ -3,6 +3,9 @@ per-job trace collection, and the tracing-changes-nothing guarantee."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,8 @@ from repro.experiments import ExperimentScale, ParallelSweepRunner
 from repro.experiments.parallel import SweepJob, trace_path_for
 from repro.obs import TraceSession, load_trace, trace_layers
 from repro.perf.harness import BENCH_FIGURES, _digest
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _run_traced(figure, **session_kwargs):
@@ -96,6 +101,32 @@ class TestTraceCli:
         events = load_trace(str(trace))
         assert trace_layers(events) <= {"cxl", "dram"}
         assert sum(1 for e in events if e.get("ph") != "M") <= 1000
+
+    def test_trace_accepts_module_style_alias(self, tmp_path, capsys):
+        trace = tmp_path / "t.json"
+        rc = main(["trace", "fig16_prealignment", "--trace-out", str(trace)])
+        assert rc == 0
+        assert "[trace] fig16 took" in capsys.readouterr().out
+
+    def test_trace_example_script(self, tmp_path):
+        """``examples/trace_run.py`` runs and writes valid Perfetto JSON:
+        all four layers, and every complete event carries ts and dur."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH"))
+            if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "examples" / "trace_run.py"), "fig16"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        events = load_trace(str(tmp_path / "trace.json"))
+        assert trace_layers(events) >= {"dram", "cxl", "ndp", "mem"}
+        complete = [e for e in events if e.get("ph") == "X"]
+        assert complete
+        assert all("ts" in e and "dur" in e for e in complete)
+        assert (tmp_path / "metrics.csv").exists()
 
     def test_trace_requires_known_figure(self):
         with pytest.raises(SystemExit):

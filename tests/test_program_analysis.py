@@ -3,8 +3,7 @@
 Fixture mini-packages (violating + clean variants) per program rule,
 call-graph edge cases (aliased imports, method-vs-function shadowing,
 ``functools.partial``), cross-file suppression semantics, the
-``repro-lint/2`` report round-trip, the warm-lint cache (parity and
-invalidation), SARIF export, and ``--changed`` scoping.
+``repro-lint/2`` report round-trip, and the ``lint`` verb's exit codes.
 """
 
 import json
@@ -12,15 +11,17 @@ import textwrap
 
 import pytest
 
+import repro.__main__ as repro_main
 from repro.analysis import (
     LINT_SCHEMA,
     PROGRAM_RULES,
-    LintCache,
     lint_paths,
     summarize_source,
-    to_sarif,
 )
-from repro.analysis.cli import main as lint_cli
+
+
+def lint_cli(argv):
+    return repro_main.main(["lint", *argv])
 
 
 def write_tree(root, files):
@@ -499,108 +500,6 @@ class TestReportRoundTrip:
         ).to_dict()["rules"]
 
 
-class TestLintCache:
-    def make_tree(self, tmp_path):
-        return write_tree(tmp_path / "tree", WALL_TAINT_TREE)
-
-    def test_warm_report_is_byte_identical(self, tmp_path):
-        tree = self.make_tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        cold_cache = LintCache(cache_path)
-        cold = lint_paths([tree], cache=cold_cache)
-        cold_cache.save()
-        assert cache_path.is_file()
-
-        warm_cache = LintCache(cache_path)
-        assert warm_cache._entries  # the store round-tripped
-        warm = lint_paths([tree], cache=warm_cache)
-        cold_text = json.dumps(cold.to_dict(), indent=2, sort_keys=True)
-        warm_text = json.dumps(warm.to_dict(), indent=2, sort_keys=True)
-        assert cold_text == warm_text
-
-    def test_edited_file_invalidates_its_entry(self, tmp_path):
-        tree = self.make_tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        cache = LintCache(cache_path)
-        first = lint_paths([tree], cache=cache)
-        cache.save()
-        assert any(
-            f.rule == "transitive-wall-clock" for f in first.findings
-        )
-
-        (tree / "util.py").write_text(
-            "def read_clock():\n    return 0\n\n"
-            "def helper():\n    return read_clock()\n"
-        )
-        second = lint_paths([tree], cache=LintCache(cache_path))
-        assert not any(
-            f.rule == "transitive-wall-clock" for f in second.findings
-        )
-
-    def test_cache_ignored_with_rule_filter(self, tmp_path):
-        tree = self.make_tree(tmp_path)
-        cache = LintCache(tmp_path / "cache.json")
-        lint_paths([tree], rules=["no-wall-clock"], cache=cache)
-        cache.save()
-        assert not (tmp_path / "cache.json").exists()
-
-
-class TestSarifExport:
-    def test_sarif_shape(self, tmp_path):
-        write_tree(tmp_path, WALL_TAINT_TREE)
-        sarif = to_sarif(lint_paths([tmp_path]))
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "transitive-wall-clock" in rule_ids
-        results = [
-            r for r in run["results"]
-            if r["ruleId"] == "transitive-wall-clock"
-        ]
-        assert results
-        result = results[0]
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "sim/engine.py"
-        assert location["region"]["startColumn"] >= 1
-        assert len(result["relatedLocations"]) >= 3
-
-    def test_suppressed_findings_become_notes(self, tmp_path):
-        write_tree(tmp_path, {
-            "sim/x.py": """
-                import time
-
-                # repro: allow[no-wall-clock] -- test fixture waiver.
-                NOW = time.time()
-            """,
-        })
-        sarif = to_sarif(lint_paths([tmp_path]))
-        results = sarif["runs"][0]["results"]
-        assert results[0]["level"] == "note"
-        assert results[0]["suppressions"][0]["kind"] == "inSource"
-        assert "waiver" in results[0]["suppressions"][0]["justification"]
-
-
-class TestChangedScoping:
-    def test_per_file_findings_scoped_program_findings_kept(self, tmp_path):
-        write_tree(tmp_path, WALL_TAINT_TREE)
-        full = lint_paths([tmp_path])
-        assert any(f.rule == "no-wall-clock" for f in full.findings)
-
-        scoped = lint_paths([tmp_path], changed_only=["sim/engine.py"])
-        rules = {f.rule for f in scoped.findings}
-        assert "no-wall-clock" not in rules  # util.py not "changed"
-        assert "transitive-wall-clock" in rules  # program rules: full graph
-
-    def test_empty_changed_set_still_runs_program_rules(self, tmp_path):
-        write_tree(tmp_path, WALL_TAINT_TREE)
-        scoped = lint_paths([tmp_path], changed_only=[])
-        assert {f.rule for f in scoped.findings} == {
-            "transitive-wall-clock"
-        }
-
-
 class TestCli:
     def test_each_program_rule_exits_nonzero_on_seeded_violation(
         self, tmp_path, capsys
@@ -631,7 +530,7 @@ class TestCli:
         for rule_id, files in trees.items():
             root = tmp_path / rule_id
             write_tree(root, files)
-            assert lint_cli([str(root), "--no-cache"]) == 1, rule_id
+            assert lint_cli([str(root)]) == 1, rule_id
             assert rule_id in capsys.readouterr().out
 
     def test_no_program_skips_program_rules(self, tmp_path, capsys):
@@ -639,9 +538,9 @@ class TestCli:
             "jobs.py": "def build():\n"
                        "    return SweepJob('k', lambda: 1)\n",
         })
-        assert lint_cli([str(tmp_path), "--no-cache"]) == 1
+        assert lint_cli([str(tmp_path)]) == 1
         capsys.readouterr()
-        assert lint_cli([str(tmp_path), "--no-cache", "--no-program"]) == 0
+        assert lint_cli([str(tmp_path), "--no-program"]) == 0
 
     def test_rule_filter_accepts_program_rule(self, tmp_path, capsys):
         write_tree(tmp_path, WALL_TAINT_TREE)
@@ -651,15 +550,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "via util.py:" in out  # witness chain is printed
         assert lint_cli([str(tmp_path), "--rule", "no-set-iteration-order"]) == 0
-
-    def test_sarif_output(self, tmp_path, capsys):
-        write_tree(tmp_path, WALL_TAINT_TREE)
-        out_file = tmp_path / "out.sarif"
-        assert lint_cli(
-            [str(tmp_path), "--no-cache", "--sarif", str(out_file)]
-        ) == 1
-        payload = json.loads(out_file.read_text())
-        assert payload["version"] == "2.1.0"
 
     def test_list_rules_includes_program_rules(self, capsys):
         assert lint_cli(["--list-rules"]) == 0
