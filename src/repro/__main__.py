@@ -303,11 +303,13 @@ def _profile_delays(figure: str) -> int:
     """``python -m repro profile <figure> --delays``: schedule-delay
     histogram from one serial quick-scale run.
 
-    This distribution is what the calendar scheduler's bucketing is tuned
+    This distribution is what the timing wheel's ring size is chosen
     against: the simulator's delays are short-horizon (DRAM timing
     parameters, link hops) with a long sparse tail (refresh intervals,
-    timeout flushes), which is exactly the shape a bucket-per-cycle
-    calendar queue with a sparse overflow exploits.
+    timeout flushes), which is exactly the shape a ring of per-cycle
+    buckets with a sparse overflow heap exploits.  Every event pushed
+    onto a scheduler is counted, including link arrivals and DRAM
+    completions that bypass ``Engine.schedule*``.
     """
     from repro.sim.engine import Engine
 
@@ -321,7 +323,7 @@ def _profile_delays(figure: str) -> int:
         print(f"[profile] {figure}: no events scheduled")
         return 0
     rows = sorted(histogram.items())
-    print(f"[profile] {figure}: {total:,} schedule calls across "
+    print(f"[profile] {figure}: {total:,} events scheduled across "
           f"{len(rows)} distinct delays ({elapsed:.1f}s at quick scale)")
     print(f"[profile] {'delay':>8s} {'count':>12s} {'share':>7s} {'cum':>7s}")
     shown = rows[:40]
@@ -333,7 +335,7 @@ def _profile_delays(figure: str) -> int:
     if len(rows) > len(shown):
         tail = total - cumulative
         print(f"[profile] (+{len(rows) - len(shown)} longer delays, "
-              f"{tail:,} calls, max {rows[-1][0]} cycles)")
+              f"{tail:,} events, max {rows[-1][0]} cycles)")
     return 0
 
 
@@ -543,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--delays", action="store_true",
                      help="print the schedule-delay histogram of one "
                           "serial quick-scale run (the distribution the "
-                          "calendar scheduler's bucketing is tuned against)")
+                          "timing wheel's ring size is chosen against)")
     sub.add_argument("--profile-out", default="profile.json", metavar="FILE",
                      help="ProfileReport JSON output path "
                           "(default: %(default)s)")

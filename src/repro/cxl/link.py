@@ -7,6 +7,12 @@ the internal Switch-Bus; only the parameters differ.  Idealized
 communication — the "infinite bandwidth and zero latency" configuration of
 Fig. 3 — is a link with :data:`IDEAL_LINK_PARAMS`.
 
+The link holds the wire's state (when it frees up, its counters);
+:meth:`repro.cxl.packer.PackedChannel.send` is the one code path that puts
+bytes on it.  Several channels may share one link (a DDR multidrop bus).
+Transfers serialize in submission order: the Bus Controllers arbitrate
+fairly, which FIFO order approximates.
+
 Energy is accrued per wire byte (pJ/B), following the off-chip interconnect
 energy numbers of CACTI-IO / Keckler et al. that the paper cites.
 """
@@ -14,7 +20,6 @@ energy numbers of CACTI-IO / Keckler et al. that the paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
 
 from repro.sim.component import Component
 
@@ -39,6 +44,10 @@ class LinkParams:
             raise ValueError("bytes_per_cycle must be positive")
         if self.latency_cycles < 0:
             raise ValueError("latency_cycles must be non-negative")
+        if type(self.latency_cycles) is not int:
+            raise ValueError(
+                f"latency_cycles must be an int, got {self.latency_cycles!r}"
+            )
 
 
 #: Fig. 3's imaginary idealized communication: instant data delivery.
@@ -62,80 +71,8 @@ class Link(Component):
         self.params = params
         self.role = role
         #: Cycle after which a new transfer would start serializing.  A
-        #: plain attribute: the packer polls it on every send decision.
+        #: plain attribute: every send reads and advances it.
         self.free_at = 0
-        # transfer() runs ~1M times per figure; hoist everything it needs
-        # out of the params dataclass and the stats scope.  The canonical
-        # bandwidths are whole bytes/cycle, so serialization can use int
-        # ceil-division; a genuinely fractional bandwidth keeps the float
-        # path (followed by the historical int() truncation).
-        bpc = params.bytes_per_cycle
-        ibpc = int(bpc) if not params.ideal else 1
-        self._bpc = ibpc if ibpc == bpc else bpc
-        self._pj = params.pj_per_byte
-        self._counters = self.stats.counters
-
-    def transfer(
-        self,
-        wire_bytes: int,
-        on_delivered: Callable[[], None],
-        tag: Optional[Dict[str, object]] = None,
-    ) -> int:
-        """Ship ``wire_bytes``; invoke ``on_delivered`` at arrival.
-
-        Returns the delivery cycle.  Transfers serialize in submission
-        order (the Bus Controllers arbitrate fairly, which FIFO order
-        approximates).  ``tag`` adds caller context (request ids, message
-        kind) to the emitted trace span; it is ignored when tracing is off.
-        """
-        if wire_bytes <= 0:
-            raise ValueError("wire_bytes must be positive")
-        params = self.params
-        # Counter updates inlined (four per transfer, ~1M transfers per
-        # figure): same accounting as ``stats.add`` without the call.  Keys
-        # are created lazily on the first transfer, exactly as before, so
-        # an idle link still reports no counters (diagnostics keys on
-        # ``wire_bytes`` presence to find active links).
-        counters = self._counters
-        if "messages" not in counters:
-            counters["messages"] = 0.0
-            counters["wire_bytes"] = 0.0
-            counters["energy_pj"] = 0.0
-        counters["messages"] += 1
-        counters["wire_bytes"] += wire_bytes
-        counters["energy_pj"] += wire_bytes * self._pj
-        engine = self.engine
-        now = engine.now
-        if params.ideal:
-            engine.schedule(0, on_delivered)
-            return now
-        start = self.free_at
-        if start < now:
-            start = now
-        serialize = int(-(-wire_bytes // self._bpc))
-        free_at = start + serialize
-        self.free_at = free_at
-        arrive = free_at + params.latency_cycles
-        if "busy_cycles" not in counters:
-            counters["busy_cycles"] = 0.0
-        counters["busy_cycles"] += serialize
-        tracer = engine.tracer
-        if tracer and tracer.wants("cxl"):
-            args: Dict[str, object] = {
-                "bytes": wire_bytes,
-                "wait": start - now,
-                "arrive": arrive,
-                "role": self.role,
-                "lat": params.latency_cycles,
-            }
-            if tag:
-                args.update(tag)
-            tracer.complete(
-                "cxl", "xfer", self.path, start, serialize,
-                pid=self.engine.trace_id, args=args,
-            )
-        engine.schedule_at(arrive, on_delivered)
-        return arrive
 
     def utilization(self, end_cycle: int) -> float:
         """Fraction of cycles spent serializing, up to ``end_cycle``."""

@@ -10,12 +10,16 @@ after a short timeout so trickling traffic is not stalled indefinitely.
 :class:`PackedChannel` is the uniform send interface used by everything
 above the link layer; construction chooses packing on or off, so the
 ``data_packing`` optimization flag of the experiments is literally "which
-channel wrapper the topology builder instantiated".
+channel wrapper the topology builder instantiated".  It is also the only
+code that puts bytes on a :class:`~repro.cxl.link.Link`: serialization,
+the link's counters and the arrival push live at the end of
+:meth:`PackedChannel.send`, so a direct or idle-link send is one frame
+from message to scheduler.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cxl.flit import FLIT_BYTES, Message
 from repro.cxl.link import Link
@@ -105,52 +109,128 @@ class PackedChannel(Component):
         self._flush_handle = None
         self._free_batches: List[List[Message]] = []
         self._counters = self.stats.counters
+        # The link's wire constants, hoisted out of its params for the
+        # send path (~1M sends per figure).  The canonical bandwidths are
+        # whole bytes/cycle, so serialization can use int ceil-division; a
+        # genuinely fractional bandwidth keeps the float path (followed by
+        # the historical int() truncation).
+        params = link.params
+        bpc = params.bytes_per_cycle
+        ibpc = int(bpc) if not params.ideal else 1
+        self._bpc = ibpc if ibpc == bpc else bpc
+        self._latency = params.latency_cycles
+        self._pj = params.pj_per_byte
+        self._ideal = params.ideal
+        #: The link's counters: shared by every channel on the link.
+        self._wire = link.stats.counters
+        self._sched = engine.scheduler
 
-    def send(self, message: Message) -> None:
-        """Queue ``message`` for transfer; its callback fires at delivery."""
+    def send(self, message: Optional[Message] = None) -> None:
+        """Queue ``message`` for transfer; its callback fires at delivery.
+
+        Called without a message, this is the flush timer firing: the
+        buffer ships if it still holds anything.
+        """
         engine = self.engine
         now = engine.now
-        message.created_at = now
-        # Inlined counter updates (one per send/flush, ~1M sends per
-        # figure); lazily created keys, same accounting as ``stats.add``.
-        counters = self._counters
-        if "payload_bytes" not in counters:
-            counters["payload_bytes"] = 0.0
-        counters["payload_bytes"] += message.payload_bytes
-        packed_bytes = message.packed_wire_bytes
-        if not self.packing or packed_bytes >= FLIT_BYTES:
-            # Large payloads gain nothing from packing; ship them directly.
-            if "direct_messages" not in counters:
-                counters["direct_messages"] = 0.0
-            counters["direct_messages"] += 1
-            tag = _wire_tag([message]) if engine.tracer else None
-            self.link.transfer(message.unpacked_wire_bytes, message.deliver,
-                               tag=tag)
+        tracer = engine.tracer
+        tag = None
+        if message is None:
+            self._flush_scheduled_at = None
+            self._flush_handle = None
+            if not self._buffer:
+                return
+            wire, deliver, tag = self._take_batch()
+        else:
+            message.created_at = now
+            # Inlined counter updates (one per send/flush, ~1M sends per
+            # figure); lazily created keys, same accounting as
+            # ``stats.add``.
+            counters = self._counters
+            if "payload_bytes" not in counters:
+                counters["payload_bytes"] = 0.0
+            counters["payload_bytes"] += message.payload_bytes
+            packed_bytes = message.packed_wire_bytes
+            if not self.packing or packed_bytes >= FLIT_BYTES:
+                # Large payloads gain nothing from packing; ship them
+                # directly.
+                if "direct_messages" not in counters:
+                    counters["direct_messages"] = 0.0
+                counters["direct_messages"] += 1
+                if tracer:
+                    tag = _wire_tag([message])
+                wire = message.unpacked_wire_bytes
+                deliver = message.deliver
+            elif (not self._buffer and self.link.free_at <= now
+                  and tracer is None):
+                # Idle link, empty buffer: this message would flush alone
+                # this cycle anyway (one sub-flit payload -> one flit);
+                # skip the buffer round-trip.  Kept off under tracing so
+                # the flit_flush instant stream is unchanged.
+                if "packed_flits" not in counters:
+                    counters["packed_flits"] = 0.0
+                    counters["packed_messages"] = 0.0
+                counters["packed_flits"] += 1
+                counters["packed_messages"] += 1
+                wire = FLIT_BYTES
+                deliver = message.deliver
+            else:
+                self._buffer.append(message)
+                self._buffer_bytes += packed_bytes
+                if (self._buffer_bytes < FLIT_BYTES
+                        and self.link.free_at > now):
+                    # Link is draining other traffic; buffer until it
+                    # frees (capped by the flush timeout) so packing costs
+                    # no extra latency.
+                    self._arm_flush_timer()
+                    return
+                # Buffer full, or the link is idle: waiting for
+                # co-travellers would only add latency.
+                wire, deliver, tag = self._take_batch()
+        # -- onto the wire: ``wire`` bytes, ``deliver`` fires at arrival --
+        # Link counter updates inlined (four per transfer).  Keys are
+        # created lazily on the first transfer, so an idle link still
+        # reports no counters (diagnostics keys on ``wire_bytes`` presence
+        # to find active links).
+        counters = self._wire
+        if "messages" not in counters:
+            counters["messages"] = 0.0
+            counters["wire_bytes"] = 0.0
+            counters["energy_pj"] = 0.0
+        counters["messages"] += 1
+        counters["wire_bytes"] += wire
+        counters["energy_pj"] += wire * self._pj
+        if self._ideal:
+            self._sched.push(now, deliver)
             return
         link = self.link
-        if not self._buffer and link.free_at <= now and engine.tracer is None:
-            # Idle link, empty buffer: this message would flush alone this
-            # cycle anyway (one sub-flit payload -> one flit); skip the
-            # buffer round-trip.  Kept off under tracing so the flit_flush
-            # instant stream is unchanged.
-            if "packed_flits" not in counters:
-                counters["packed_flits"] = 0.0
-                counters["packed_messages"] = 0.0
-            counters["packed_flits"] += 1
-            counters["packed_messages"] += 1
-            link.transfer(FLIT_BYTES, message.deliver)
-            return
-        self._buffer.append(message)
-        self._buffer_bytes += packed_bytes
-        if self._buffer_bytes >= FLIT_BYTES:
-            self._flush()
-        elif link.free_at <= now:
-            # Link is idle: waiting for co-travellers would only add latency.
-            self._flush()
-        else:
-            # Link is draining other traffic; buffer until it frees (capped
-            # by the flush timeout) so packing costs no extra latency.
-            self._arm_flush_timer()
+        start = link.free_at
+        if start < now:
+            start = now
+        serialize = int(-(-wire // self._bpc))
+        free_at = start + serialize
+        link.free_at = free_at
+        arrive = free_at + self._latency
+        if "busy_cycles" not in counters:
+            counters["busy_cycles"] = 0.0
+        counters["busy_cycles"] += serialize
+        if tracer and tracer.wants("cxl"):
+            args: Dict[str, object] = {
+                "bytes": wire,
+                "wait": start - now,
+                "arrive": arrive,
+                "role": link.role,
+                "lat": self._latency,
+            }
+            if tag:
+                args.update(tag)
+            tracer.complete(
+                "cxl", "xfer", link.path, start, serialize,
+                pid=engine.trace_id, args=args,
+            )
+        # Integral and not in the past by construction, so the arrival
+        # goes straight onto the scheduler.
+        self._sched.push(arrive, deliver)
 
     # -- packing internals ------------------------------------------------------
 
@@ -167,17 +247,11 @@ class PackedChannel(Component):
                 return
             self._flush_handle.cancel()
         self._flush_scheduled_at = deadline
-        self._flush_handle = self.engine.schedule_cancellable(
-            wait, self._timeout_flush
-        )
+        self._flush_handle = self.engine.schedule_cancellable(wait, self.send)
 
-    def _timeout_flush(self) -> None:
-        self._flush_scheduled_at = None
-        self._flush_handle = None
-        if self._buffer:
-            self._flush()
-
-    def _flush(self) -> None:
+    def _take_batch(self) -> Tuple[int, Callable[[], None], Optional[dict]]:
+        """Empty the buffer into one flush: its wire bytes, its delivery
+        callback and its trace tag (``None`` when tracing is off)."""
         batch = self._buffer
         batch_bytes = self._buffer_bytes
         free = self._free_batches
@@ -222,9 +296,8 @@ class PackedChannel(Component):
             batch.clear()
             if len(free) < PackedChannel.BATCH_FREELIST_CAP:
                 free.append(batch)
-            self.link.transfer(wire, message.deliver, tag=tag)
-            return
-        self.link.transfer(wire, _BatchDelivery(self, batch), tag=tag)
+            return wire, message.deliver, tag
+        return wire, _BatchDelivery(self, batch), tag
 
     # -- reporting ----------------------------------------------------------------
 

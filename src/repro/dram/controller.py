@@ -73,6 +73,7 @@ class DimmController(Component):
         # timing and geometry dataclasses are frozen for the DIMM's life).
         self._tbl = dimm.timing.tbl
         self._burst_bytes_per_chip = dimm.geometry.burst_bytes_per_chip
+        self._sched = engine.scheduler
 
     # -- submission -------------------------------------------------------------
 
@@ -251,5 +252,8 @@ class DimmController(Component):
         self.stats.record("service_cycles", finish - now)
         # The completion cycle is known now: stamp it and schedule the
         # request's bound completion method instead of a per-request lambda.
+        # ``finish`` is integral and not before ``now`` by construction
+        # (integer timings, ``start >= now``), so it goes straight onto
+        # the scheduler.
         request.completed_at = finish
-        engine.schedule_at(finish, request.fire_completion)
+        self._sched.push(finish, request.fire_completion)

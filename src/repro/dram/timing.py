@@ -7,7 +7,7 @@ CL-tRCD-tRP = 22-22-22 per Table I).  The geometry matches Table I's DIMM:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 
@@ -33,6 +33,14 @@ class DramTiming:
     twl: int = 16          # write command -> first data (CWL)
     trefi: int = 6240      # refresh interval (7.8 us at 1.25 ns/cycle)
     trfc: int = 280        # refresh cycle time (350 ns for 8 Gb parts)
+
+    def __post_init__(self) -> None:
+        # Access completions are pushed onto the scheduler unchecked, so
+        # every cycle count they are built from must be an int.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "tck_ns" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
 
     @cached_property
     def trc(self) -> int:

@@ -1,15 +1,15 @@
 """Deterministic discrete-event engine.
 
 Events are kept in a pluggable :class:`~repro.sim.scheduler.Scheduler`
-(binary heap or calendar queue, see :mod:`repro.sim.scheduler`); ordering
-is by timestamp, FIFO within a cycle with respect to scheduling order.
-That keeps every simulation in this repository exactly reproducible — the
-same configuration and workload always produce the same cycle counts and
-energy totals, under either scheduler implementation.
+(binary heap or ring timing wheel, see :mod:`repro.sim.scheduler`);
+ordering is by timestamp, FIFO within a cycle with respect to scheduling
+order.  That keeps every simulation in this repository exactly
+reproducible — the same configuration and workload always produce the
+same cycle counts and energy totals, under either scheduler.
 
-The run loop dispatches in *cycle batches*: the scheduler hands over one
-populated cycle's FIFO bucket as a live list, and the engine drains it by
-index without re-touching the priority structure per event.  Events
+The run loop dispatches in *cycle batches*: one ``next_batch`` call per
+populated cycle hands over that cycle's FIFO list, and the engine drains
+it by index without re-touching the priority structure per event.  Events
 scheduled for the current cycle while the batch drains append to the same
 live list, which reproduces the historical heap's ``(time, seq)`` pop
 order exactly.
@@ -21,19 +21,25 @@ import contextlib
 import gc
 from typing import Any, Callable, Dict, Iterator, Optional, Union
 
-from repro.sim.scheduler import EventHandle, Scheduler, create_scheduler
+from repro.sim.scheduler import (
+    SCHEDULERS,
+    EventHandle,
+    Scheduler,
+    create_scheduler,
+)
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid use of the engine (e.g. scheduling in the past)."""
 
 
-def _integral_time(time: Any, delay: Any) -> int:
-    """Coerce a non-``int`` event time to ``int``, rejecting fractions.
+def _integral_time(time: Any, what: str) -> int:
+    """Coerce a non-``int`` cycle value to ``int``, rejecting fractions.
 
     Event times are integer DRAM cycles; a fractional delay would silently
     land on a wrong cycle (the old engine truncated via ``int(delay)``).
     Integral floats and numpy integers are accepted and normalized.
+    ``what`` names the offending argument in the error.
     """
     try:
         coerced = int(time)
@@ -42,7 +48,7 @@ def _integral_time(time: Any, delay: Any) -> int:
         coerced, exact = 0, False
     if not exact:
         raise SimulationError(
-            f"non-integral delay {delay!r}: event times are integer DRAM "
+            f"non-integral {what}: event times are integer DRAM "
             "cycles (round explicitly at the call site)"
         )
     return coerced
@@ -133,42 +139,37 @@ class Engine:
         """Count every scheduled delay, process-wide, while active.
 
         Profiling aid behind ``python -m repro profile --delays`` — the
-        measured delay distribution is what the calendar scheduler's
-        bucketing is tuned against.  Purely observational: the wrapped
-        scheduling methods record the delay then delegate, so event order
-        and results are untouched.  Zero cost when inactive: the hot
-        ``schedule`` path carries no histogram branch; the counting
-        wrappers are installed on the class only while the context is
-        entered (which also makes the context non-reentrant and
-        process-global, like the tracer).  Yields the live histogram
-        mapping delay (cycles) -> times scheduled.
+        measured delay distribution is what the timing wheel's ring size
+        is chosen against.  Counting happens in ``push`` itself, so the
+        ``schedule*`` API and the components that push straight onto the
+        scheduler (link arrivals, DRAM completions) are all covered.
+        Purely observational: the counting ``push`` records
+        ``time - scheduler.time`` (the delay from the engine's ``now``)
+        and delegates, so event order and results are untouched.  Zero
+        cost when inactive: the counting ``push`` is installed on every
+        registered scheduler class only while the context is entered
+        (which also makes the context non-reentrant and process-global,
+        like the tracer).  Yields the live histogram mapping delay
+        (cycles) -> times scheduled.
         """
         histogram: Dict[int, int] = {}
-        plain, absolute, cancellable = (
-            cls.schedule, cls.schedule_at, cls.schedule_cancellable)
+        originals = {sched: sched.__dict__["push"]
+                     for sched in SCHEDULERS.values()}
 
-        def counting_schedule(self, delay, callback):
-            histogram[delay] = histogram.get(delay, 0) + 1
-            return plain(self, delay, callback)
+        def counting(push):
+            def counting_push(self, time, event):
+                delay = time - self.time
+                histogram[delay] = histogram.get(delay, 0) + 1
+                push(self, time, event)
+            return counting_push
 
-        def counting_schedule_at(self, time, callback):
-            delay = time - self.now
-            histogram[delay] = histogram.get(delay, 0) + 1
-            return absolute(self, time, callback)
-
-        def counting_schedule_cancellable(self, delay, callback):
-            histogram[delay] = histogram.get(delay, 0) + 1
-            return cancellable(self, delay, callback)
-
-        cls.schedule = counting_schedule
-        cls.schedule_at = counting_schedule_at
-        cls.schedule_cancellable = counting_schedule_cancellable
+        for sched, push in originals.items():
+            sched.push = counting(push)
         try:
             yield histogram
         finally:
-            cls.schedule = plain
-            cls.schedule_at = absolute
-            cls.schedule_cancellable = cancellable
+            for sched, push in originals.items():
+                sched.push = push
 
     def __init__(self, scheduler: Union[str, Scheduler, None] = None) -> None:
         #: Current simulation time in DRAM cycles.  A plain attribute on
@@ -177,8 +178,6 @@ class Engine:
         #: loop writes it.
         self.now: int = 0
         self._scheduler: Scheduler = create_scheduler(scheduler)
-        #: Bound push, saving a descriptor walk on every schedule call.
-        self._push = self._scheduler.push
         self._events_executed: int = 0
         self._running: bool = False
         self._stopped: bool = False
@@ -223,8 +222,8 @@ class Engine:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         time = self.now + delay
         if type(time) is not int:
-            time = _integral_time(time, delay)
-        self._push(time, callback)
+            time = _integral_time(time, f"delay {delay!r}")
+        self._scheduler.push(time, callback)
 
     def schedule_at(self, time: int, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
@@ -233,8 +232,8 @@ class Engine:
                 f"cannot schedule at cycle {time}; current cycle is {self.now}"
             )
         if type(time) is not int:
-            time = _integral_time(time, time - self.now)
-        self._push(time, callback)
+            time = _integral_time(time, f"delay {time - self.now!r}")
+        self._scheduler.push(time, callback)
 
     def schedule_cancellable(
         self, delay: int, callback: Callable[[], Any]
@@ -251,9 +250,9 @@ class Engine:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         time = self.now + delay
         if type(time) is not int:
-            time = _integral_time(time, delay)
+            time = _integral_time(time, f"delay {delay!r}")
         handle = EventHandle(callback)
-        self._push(time, handle)
+        self._scheduler.push(time, handle)
         return handle
 
     def reschedule(self, handle: Optional[EventHandle], delay: int) -> EventHandle:
@@ -278,7 +277,8 @@ class Engine:
         ----------
         until:
             If given, stop once the next event's timestamp exceeds ``until``
-            (the clock is then advanced to ``until``).
+            (the clock is then advanced to ``until``).  Must be an integral
+            cycle no earlier than ``now``: the clock never moves backwards.
         max_events:
             Safety valve for runaway simulations; executes at most
             ``max_events`` events, then raises :class:`SimulationError`
@@ -289,9 +289,17 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is not re-entrant")
+        if until is not None:
+            if type(until) is not int:
+                until = _integral_time(until, f"run(until={until!r})")
+            if until < self.now:
+                raise SimulationError(
+                    f"run(until={until}) is before the current cycle "
+                    f"{self.now}; the clock cannot move backwards"
+                )
         self._running = True
         self._stopped = False
-        executed_this_run = 0
+        executed = 0
         sched = self._scheduler
         budget = -1
         if max_events is not None:
@@ -309,85 +317,57 @@ class Engine:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        # Bound methods hoisted out of the loop: three attribute walks per
-        # populated cycle add up over hundreds of thousands of cycles.
-        next_time = sched.next_time
-        start_cycle = sched.start_cycle
-        finish_cycle = sched.finish_cycle
+        next_batch = sched.next_batch
+        aborted = False
         try:
-            while not self._stopped:
-                time = next_time()
-                if time is None:
+            while True:
+                batch = next_batch(until)
+                if batch is None:
                     break
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                self.now = time
+                self.now = sched.time
                 # Drain this cycle's FIFO by index; same-cycle schedules
-                # append to `batch` and are picked up by the same sweep.
-                batch = start_cycle()
+                # append to `batch`, so `len(batch)` is re-read every
+                # iteration.  Without a budget `stop_at` is negative and
+                # never matches.
+                stop_at = budget - executed
                 i = 0
-                aborted = False
-                if budget < 0:
-                    # Common case (no max_events): the only per-event
-                    # bookkeeping is the stop flag; the executed count is
-                    # settled in one add after the sweep.  ``len(batch)``
-                    # is re-read every iteration on purpose: same-cycle
-                    # schedules grow the live list mid-drain.
-                    while i < len(batch):
-                        event = batch[i]
-                        i += 1
-                        if event.__class__ is EventHandle:
-                            # A cancelled handle is dropped here, but still
-                            # counts as a dispatched event: it occupied a
-                            # queue slot and a dispatch turn, exactly like
-                            # the fire-and-bail wakeup events this mechanism
-                            # replaced (keeping event accounting comparable).
-                            if not event.cancelled:
-                                event.fn()
-                        else:
-                            event()
-                        if self._stopped:
-                            aborted = True
-                            break
-                    executed_this_run += i
+                while i < len(batch):
+                    event = batch[i]
+                    i += 1
+                    if event.__class__ is EventHandle:
+                        # A cancelled handle is dropped here, but still
+                        # counts as a dispatched event: it occupied a queue
+                        # slot and a dispatch turn, exactly like the
+                        # fire-and-bail wakeup events this mechanism
+                        # replaced (keeping event accounting comparable).
+                        if not event.cancelled:
+                            event.fn()
+                    else:
+                        event()
+                    if self._stopped or i == stop_at:
+                        break
                 else:
-                    while i < len(batch):
-                        event = batch[i]
-                        i += 1
-                        if event.__class__ is EventHandle:
-                            if not event.cancelled:
-                                event.fn()
-                        else:
-                            event()
-                        executed_this_run += 1
-                        if self._stopped or executed_this_run == budget:
-                            aborted = True
-                            break
-                if aborted:
-                    # Keep the unconsumed remainder queued; a later run()
-                    # resumes exactly where this one left off.
-                    del batch[:i]
-                    if not batch:
-                        finish_cycle()
-                    if (
-                        executed_this_run == budget
-                        and not self._stopped
-                        and len(sched)
-                    ):
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "simulation is probably not converging"
-                        )
-                    break
-                finish_cycle()
-            if until is not None and not len(sched) and self.now < until:
-                self.now = until
+                    executed += i
+                    continue
+                # Stopped mid-batch: keep the unconsumed remainder queued;
+                # a later run() resumes exactly where this one left off.
+                executed += i
+                aborted = True
+                sched.abort(i)
+                if executed == budget and not self._stopped and len(sched):
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; "
+                        "simulation is probably not converging"
+                    )
+                break
+            if (until is not None and self.now < until
+                    and (not aborted or not len(sched))):
+                self.now = sched.time = until
         finally:
             if gc_was_enabled:
                 gc.enable()
             self._running = False
-            self._events_executed += executed_this_run
+            self._events_executed += executed
             totals = Engine._global_occupancy.get(sched.name)
             if totals is None:
                 totals = Engine._global_occupancy[sched.name] = {
@@ -408,7 +388,7 @@ class Engine:
             self._occ_cycles_folded = sched.cycles_started
             if sched.max_batch > totals["max_batch"]:
                 totals["max_batch"] = sched.max_batch
-            Engine._global_events_executed += executed_this_run
+            Engine._global_events_executed += executed
             if self.tracer:
                 # Purely observational: lets the profiler use the exact
                 # final clock as its utilization denominator instead of

@@ -40,48 +40,77 @@ class TestMessageWireMath:
             Message(MessageKind.MEM_REQUEST, payload_bytes=0, destination="d")
 
 
+def _wire(engine, chan, wire_bytes, on_delivered):
+    """Put exactly ``wire_bytes`` (a multiple of a flit) on ``chan``'s link
+    as one unpacked message."""
+    assert wire_bytes % FLIT_BYTES == 0
+    chan.send(Message(MessageKind.MEM_RESPONSE, payload_bytes=wire_bytes - 2,
+                      destination="d", on_delivered=on_delivered))
+
+
 class TestLink:
+    """The wire a channel serializes onto: every transfer goes through
+    ``PackedChannel.send``."""
+
     def _link(self, params):
         engine = Engine()
         root = Component(engine, "sys")
-        return engine, Link(engine, "l", root, params)
+        link = Link(engine, "l", root, params)
+        return engine, link, PackedChannel(engine, "c", root, link,
+                                           packing=False)
 
     def test_serialization_and_latency(self):
-        engine, link = self._link(LinkParams(bytes_per_cycle=8, latency_cycles=10))
+        engine, link, chan = self._link(
+            LinkParams(bytes_per_cycle=8, latency_cycles=10))
         arrivals = []
-        link.transfer(64, lambda: arrivals.append(engine.now))
-        link.transfer(64, lambda: arrivals.append(engine.now))
+        _wire(engine, chan, 64, lambda: arrivals.append(engine.now))
+        _wire(engine, chan, 64, lambda: arrivals.append(engine.now))
         engine.run()
         assert arrivals == [18, 26]  # 8 cycles serialize each, shared queue
 
     def test_ideal_link_is_instant(self):
-        engine, link = self._link(IDEAL_LINK_PARAMS)
+        engine, link, chan = self._link(IDEAL_LINK_PARAMS)
         arrivals = []
         for _ in range(5):
-            link.transfer(10_000, lambda: arrivals.append(engine.now))
+            _wire(engine, chan, 10_048, lambda: arrivals.append(engine.now))
         engine.run()
         assert arrivals == [0] * 5
 
     def test_energy_accounting(self):
-        engine, link = self._link(LinkParams(4, 0, pj_per_byte=2.0))
-        link.transfer(100, lambda: None)
+        engine, link, chan = self._link(LinkParams(4, 0, pj_per_byte=2.0))
+        _wire(engine, chan, 128, lambda: None)
         engine.run()
-        assert link.stats.get("energy_pj") == 200.0
+        assert link.stats.get("energy_pj") == 256.0
 
     def test_utilization(self):
-        engine, link = self._link(LinkParams(bytes_per_cycle=1, latency_cycles=0))
-        link.transfer(50, lambda: None)
+        engine, link, chan = self._link(
+            LinkParams(bytes_per_cycle=1, latency_cycles=0))
+        _wire(engine, chan, 64, lambda: None)
         engine.run()
-        assert link.utilization(100) == 0.5
+        assert link.utilization(128) == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LinkParams(bytes_per_cycle=0, latency_cycles=1)
         with pytest.raises(ValueError):
             LinkParams(bytes_per_cycle=1, latency_cycles=-1)
-        engine, link = self._link(LinkParams(1, 0))
-        with pytest.raises(ValueError):
-            link.transfer(0, lambda: None)
+        # Arrivals are pushed onto the scheduler unchecked, so a latency
+        # must be a whole number of cycles up front.
+        with pytest.raises(ValueError, match="latency_cycles must be an int"):
+            LinkParams(bytes_per_cycle=1, latency_cycles=2.5)
+
+    def test_channels_sharing_a_link_share_its_wire(self):
+        # A DDR multidrop bus: two channels, one link, one serialization
+        # queue and one set of link counters.
+        engine, link, first = self._link(
+            LinkParams(bytes_per_cycle=8, latency_cycles=10))
+        second = PackedChannel(engine, "c2", link.parent, link, packing=False)
+        arrivals = []
+        _wire(engine, first, 64, lambda: arrivals.append(engine.now))
+        _wire(engine, second, 64, lambda: arrivals.append(engine.now))
+        engine.run()
+        assert arrivals == [18, 26]
+        assert link.stats.get("messages") == 2
 
 
 class TestPackedChannel:

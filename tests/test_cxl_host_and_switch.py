@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.cxl import CommParams, CxlSwitch, Host, LinkParams
+from repro.cxl import (
+    CommParams,
+    CxlSwitch,
+    Host,
+    LinkParams,
+    Message,
+    MessageKind,
+    PackedChannel,
+)
 from repro.cxl.topology import MemoryPool
 from repro.dram import DimmKind
 from repro.sim import Engine
@@ -26,10 +34,13 @@ class TestHost:
     def test_bus_is_a_link(self):
         engine, root = make()
         host = Host(engine, "host", root, LinkParams(64, 10))
+        chan = PackedChannel(engine, "chan", root, host.bus, packing=False)
         arrivals = []
-        host.bus.transfer(640, lambda: arrivals.append(engine.now))
+        chan.send(Message(MessageKind.MEM_RESPONSE, payload_bytes=638,
+                          destination="host",
+                          on_delivered=lambda: arrivals.append(engine.now)))
         engine.run()
-        assert arrivals == [20]  # 10 serialize + 10 latency
+        assert arrivals == [20]  # 640 B: 10 serialize + 10 latency
 
 
 class TestCxlSwitch:

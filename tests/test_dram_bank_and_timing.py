@@ -25,6 +25,15 @@ class TestTiming:
         assert T.ns_to_cycles(5.1) == 5  # ceiling
         assert T.ns_to_cycles(0) == 0
 
+    def test_cycle_timings_must_be_ints(self):
+        # DRAM completions are pushed onto the scheduler unchecked, so a
+        # fractional (or float) timing must fail at construction.
+        with pytest.raises(ValueError, match="tcas must be an int"):
+            DramTiming(tcas=22.5)
+        with pytest.raises(ValueError, match="trefi must be an int"):
+            DramTiming(trefi=6240.0)
+        assert DramTiming(tck_ns=1.0).tck_ns == 1.0
+
 
 class TestBankClassify:
     def test_closed_bank_needs_activate(self):

@@ -95,14 +95,16 @@ def _drain_order(scheduler, initial, chained):
         scheduler.push(delay, make_event(tag, index))
 
     now = 0
-    while len(scheduler):
-        now = scheduler.next_time()
-        batch = scheduler.start_cycle()
+    while True:
+        batch = scheduler.next_batch(None)
+        if batch is None:
+            break
+        now = scheduler.time
         i = 0
         while i < len(batch):
             batch[i]()
             i += 1
-        scheduler.finish_cycle()
+    assert len(scheduler) == 0
     return order
 
 
@@ -115,6 +117,129 @@ class TestPopOrderProperty:
         assert len(reference) == len(initial) + len(chained)
         wheel = _drain_order(CalendarScheduler(), initial, chained)
         assert wheel == reference
+
+
+# -- differential: the wheel against the heap oracle, through the engine ----------
+
+#: Delays on both sides of the wheel's ring edge, refresh's 6240 and far
+#: ahead, plus the short delays that dominate real runs.
+_DELAYS = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([0, 1, 1023, 1024, 1025, 2047, 2048, 6240, 10 ** 6]),
+)
+
+_STEPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("schedule_at"), _DELAYS),
+    st.tuples(st.just("cancellable"), _DELAYS),
+    st.tuples(st.just("reschedule"), st.integers(0, 63), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("run_until"), _DELAYS),
+    st.tuples(st.just("run_max"), st.integers(0, 12)),
+    st.tuples(st.just("run"),),
+)
+
+
+@st.composite
+def _programs(draw):
+    """Driver steps, plus what each top-level event does when it runs:
+    schedule one follow-up (``None``: no follow-up) and maybe ``stop()``."""
+    steps = draw(st.lists(_STEPS, min_size=1, max_size=40))
+    reactions = draw(st.lists(
+        st.tuples(st.one_of(st.none(), _DELAYS),
+                  st.sampled_from(["schedule", "cancellable", "schedule_at"]),
+                  st.booleans()),
+        min_size=1, max_size=16,
+    ))
+    return steps, reactions
+
+
+def _play(scheduler, steps, reactions):
+    """Run one program on a fresh engine; the observable log."""
+    eng = Engine(scheduler=scheduler)
+    log = []
+    handles = []
+
+    def schedule(how, delay, fn):
+        if how == "schedule":
+            eng.schedule(delay, fn)
+        elif how == "schedule_at":
+            eng.schedule_at(eng.now + delay, fn)
+        else:
+            handles.append(eng.schedule_cancellable(delay, fn))
+
+    def event(tag, top_level):
+        def fire():
+            log.append(("fire", tag, eng.now))
+            if not top_level:
+                return
+            follow_up, how, stop = reactions[tag % len(reactions)]
+            if follow_up is not None:
+                schedule(how, follow_up, event(-1 - tag, False))
+            if stop:
+                eng.stop()
+        return fire
+
+    def run(**kwargs):
+        try:
+            eng.run(**kwargs)
+            outcome = "ok"
+        except SimulationError:
+            outcome = "error"
+        log.append(("run", outcome, eng.now, len(eng.scheduler),
+                    eng.pending_events, eng.events_executed))
+
+    for tag, step in enumerate(steps):
+        kind = step[0]
+        if kind in ("schedule", "schedule_at", "cancellable"):
+            schedule(kind, step[1], event(tag, True))
+        elif kind == "reschedule" and handles:
+            handle = handles[step[1] % len(handles)]
+            handles.append(eng.reschedule(handle, step[2]))
+        elif kind == "cancel" and handles:
+            handles[step[1] % len(handles)].cancel()
+        elif kind == "run_until":
+            run(until=eng.now + step[1])
+        elif kind == "run_max":
+            run(max_events=step[1])
+        elif kind == "run":
+            run()
+    # Drain: each run() ends with an empty queue unless a stop() cut it
+    # short, and every top-level event stops at most once.
+    for _ in range(len(steps) + 1):
+        run()
+        if not len(eng.scheduler):
+            break
+    occupancy = eng.scheduler.occupancy()
+    del occupancy["scheduler"]
+    return log, occupancy
+
+
+class TestWheelMatchesHeapOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_programs())
+    def test_same_dispatch_clock_length_and_counters(self, program):
+        steps, reactions = program
+        reference = _play("heap", steps, reactions)
+        assert _play("wheel", steps, reactions) == reference
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    @pytest.mark.parametrize("far, hop", [
+        (1500, 1000), (2047, 1024), (2048, 1024), (1024, 1), (6240, 5217),
+    ])
+    def test_overflow_event_keeps_fifo_with_a_later_in_window_push(
+            self, scheduler, far, hop):
+        # Pushed `far` ahead at cycle 0 it starts in the wheel's overflow;
+        # an event at `hop` then pushes for the same cycle, which by then
+        # may be inside the window.  The earlier push must still run first.
+        eng = Engine(scheduler=scheduler)
+        order = []
+        eng.schedule(far, lambda: order.append("early"))
+        eng.schedule(hop, lambda: eng.schedule(
+            far - hop, lambda: order.append("late")))
+        eng.run()
+        assert order == ["early", "late"]
+        assert eng.now == far
 
 
 # -- engine surface on top of the scheduler core -----------------------------------
@@ -248,10 +373,28 @@ class TestDelayHistogram:
         assert run(record=True) == run(record=False)
 
     def test_wrappers_removed_after_exit(self):
-        before = Engine.schedule
+        # Counting lives in the schedulers' ``push``: installed on every
+        # registered class while recording, the plain one restored after.
+        before = {cls: cls.push for cls in SCHEDULERS.values()}
         with Engine.record_delay_histogram():
-            assert Engine.schedule is not before
-        assert Engine.schedule is before
+            for cls, push in before.items():
+                assert cls.push is not push
+        for cls, push in before.items():
+            assert cls.push is push
+
+    def test_counts_every_push_of_a_real_run(self):
+        # Links and DRAM controllers push straight onto the scheduler;
+        # the histogram must still see every event a figure enqueues.
+        Engine.reset_process_counters()
+        with Engine.record_delay_histogram() as histogram:
+            BENCH_FIGURES["fig16"](ExperimentScale.quick(),
+                                   runner=ParallelSweepRunner(jobs=1))
+        enqueued = sum(occ["events_enqueued"]
+                       for occ in Engine.process_occupancy().values())
+        Engine.reset_process_counters()
+        assert enqueued > 0
+        assert sum(histogram.values()) == enqueued
+        assert min(histogram) >= 0
 
 
 class TestRegistry:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, SimulationError
+from repro.sim import SCHEDULERS, Engine, SimulationError
 
 
 def test_runs_events_in_time_order():
@@ -186,3 +186,42 @@ def test_global_event_counter_accumulates_across_engines():
         eng.schedule(1, lambda: None)
         eng.run()
     assert Engine.global_events_executed() == before + 3
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_run_until_before_now_rejected(scheduler):
+    # The clock never moves backwards: a zero-delay event scheduled after
+    # the engine reached cycle 20 runs at 20, not at an earlier `until`.
+    eng = Engine(scheduler=scheduler)
+    eng.run(until=20)
+    hits = []
+    eng.schedule(5, lambda: hits.append(eng.now))
+    with pytest.raises(SimulationError, match="until=15"):
+        eng.run(until=15)
+    assert eng.now == 20
+    eng.schedule(0, lambda: hits.append(eng.now))
+    eng.run()
+    assert hits == [20, 25]
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_run_until_non_integral_rejected(scheduler):
+    eng = Engine(scheduler=scheduler)
+    with pytest.raises(SimulationError, match=r"until=2\.5"):
+        eng.run(until=2.5)
+    assert eng.now == 0
+    eng.run(until=2.0)  # integral floats are normalized
+    assert eng.now == 2 and type(eng.now) is int
+    hits = []
+    eng.schedule(1, lambda: hits.append(eng.now))
+    eng.run()
+    assert hits == [3]
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_run_until_non_numeric_rejected(scheduler):
+    eng = Engine(scheduler=scheduler)
+    with pytest.raises(SimulationError, match="until='10'"):
+        eng.run(until="10")
+    with pytest.raises(SimulationError, match=r"until=\[None\]"):
+        eng.run(until=[None])
