@@ -409,9 +409,6 @@ class RmwFlight:
 class MemoryPool(Component):
     """Fabric + DIMMs + controllers: the complete simulated memory system."""
 
-    #: Retry delay when a DIMM controller queue is full.
-    RETRY_CYCLES = 16
-
     def __init__(
         self,
         engine,

@@ -12,21 +12,21 @@ queued requests whose banks and chips can accept a command now, prefer row
 hits, then age.  ``policy="fcfs"`` disables the row-hit bypass for the
 ablation study.
 
-This module is the simulator's hottest code path; it trades a little
-elegance for speed (plans reused between the scheduling decision and the
-issue).  The DIMM owns the bank and bus state: the controller asks it for a
-timing plan per queued request and commits the one it issues.
+This module is the simulator's hottest code path.  The request queue is a
+plain list: one scheduling pass plans the first ``SCHED_WINDOW`` entries,
+issues the pick with ``list.pop`` and plans again.  The DIMM owns the bank
+and bus state: the controller asks it for a timing plan per queued request
+and commits the one it issues.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.dram.dimm import Dimm
 from repro.dram.request import MemoryRequest
 from repro.sim.component import Component
-from repro.sim.queueing import BoundedQueue
 
 #: A timing plan from :meth:`Dimm.plan_access`:
 #: ``(start, pre_data, activate, row_state)``.  ``start`` is
@@ -54,11 +54,15 @@ class DimmController(Component):
         super().__init__(engine, name, parent)
         if policy not in ("frfcfs", "fcfs"):
             raise ValueError(f"unknown policy {policy!r}")
+        if queue_capacity <= 0:
+            raise ValueError(
+                f"queue_capacity must be positive, got {queue_capacity}"
+            )
         self.dimm = dimm
         self.policy = policy
-        self.queue: BoundedQueue[MemoryRequest] = BoundedQueue(
-            f"{name}.reqq", capacity=queue_capacity
-        )
+        #: Admitted requests in arrival order, at most ``queue_capacity``.
+        self.queue: List[MemoryRequest] = []
+        self.queue_capacity = queue_capacity
         #: Requests waiting for queue space (admitted FIFO as slots free up).
         self._waiters: Deque[MemoryRequest] = deque()
         self._wake_at: Optional[int] = None
@@ -77,23 +81,6 @@ class DimmController(Component):
 
     # -- submission -------------------------------------------------------------
 
-    def submit(self, request: MemoryRequest) -> bool:
-        """Queue a request; returns False (backpressure) when full."""
-        if request.coord is None:
-            raise ValueError("request must be address-mapped before submission")
-        self.dimm.validate_group(request.coord.chips_per_group)
-        if not self.queue.try_push(request):
-            self.stats.add("rejected", 1)
-            return False
-        if request.issued_at is None:
-            request.issued_at = self.engine.now
-        if request.mc_enqueued_at is None:
-            request.mc_enqueued_at = self.engine.now
-        self.stats.add("accepted", 1)
-        self.dimm.refresh.notify_activity()
-        self._wake(0)
-        return True
-
     def submit_when_possible(self, request: MemoryRequest) -> None:
         """Queue a request, parking it until the controller has space.
 
@@ -109,8 +96,8 @@ class DimmController(Component):
         if request.mc_enqueued_at is None:
             request.mc_enqueued_at = self.engine.now
         self.dimm.refresh.notify_activity()
-        if not self.queue.full() and not self._waiters:
-            self.queue.push(request)
+        if len(self.queue) < self.queue_capacity and not self._waiters:
+            self.queue.append(request)
             self.stats.add("accepted", 1)
             self._wake(0)
         else:
@@ -123,11 +110,6 @@ class DimmController(Component):
                     pid=self.engine.trace_id,
                     args={"waiting": len(self._waiters)},
                 )
-
-    def _admit_waiters(self) -> None:
-        while self._waiters and not self.queue.full():
-            self.queue.push(self._waiters.popleft())
-            self.stats.add("accepted", 1)
 
     @property
     def pending(self) -> int:
@@ -153,49 +135,44 @@ class DimmController(Component):
         )
 
     def _schedule_pass(self) -> None:
+        """Issue every request FR-FCFS finds ready now, then wake at the
+        earliest start among those left in the window.
+
+        The pick is the first ready row hit in the window, else the first
+        ready request (``policy="fcfs"``: the first ready request).  Each
+        issue frees a slot for the oldest parked waiter.
+        """
         self._wake_at = None
         self._wake_handle = None
-        next_start: Optional[int] = None
-        while self.queue:
-            picked = self._pick_ready()
-            if isinstance(picked, int):
-                next_start = picked
-                break
-            request, plan = picked
-            self.queue.remove(request)
-            self._issue(request, plan)
-            self._admit_waiters()
-        if self.queue and next_start is not None:
-            self._wake(max(1, next_start - self.engine.now))
-
-    def _pick_ready(self):
-        """FR-FCFS pick: ``(request, plan)`` ready now, else the earliest
-        future start time (int), for the next wakeup."""
         now = self.engine.now
-        window = 0
-        first_ready = None
-        first_ready_plan = None
-        min_start = None
-        prefer_hits = self.policy == "frfcfs"
+        queue = self.queue
+        waiters = self._waiters
+        capacity = self.queue_capacity
+        window = self.SCHED_WINDOW
         plan_access = self.dimm.plan_access
-        for request in self.queue.items():
-            if window >= self.SCHED_WINDOW:
-                break
-            window += 1
-            plan = plan_access(request.coord, request.is_write)
-            start = plan[0]
-            if start <= now:
-                if not prefer_hits:
-                    return request, plan
-                if not plan[2]:  # row hit (no activate needed)
-                    return request, plan
-                if first_ready is None:
-                    first_ready, first_ready_plan = request, plan
-            elif min_start is None or start < min_start:
-                min_start = start
-        if first_ready is not None:
-            return first_ready, first_ready_plan
-        return min_start if min_start is not None else self.engine.now + 1
+        prefer_hits = self.policy == "frfcfs"
+        while queue:
+            pick = -1
+            pick_plan = None
+            min_start = None
+            for i, request in enumerate(queue[:window]):
+                plan = plan_access(request.coord, request.is_write)
+                start = plan[0]
+                if start <= now:
+                    if not plan[2] or not prefer_hits:  # row hit, or FCFS
+                        pick, pick_plan = i, plan
+                        break
+                    if pick < 0:
+                        pick, pick_plan = i, plan
+                elif min_start is None or start < min_start:
+                    min_start = start
+            if pick < 0:
+                self._wake(max(1, min_start - now))
+                return
+            self._issue(queue.pop(pick), pick_plan)
+            while waiters and len(queue) < capacity:
+                queue.append(waiters.popleft())
+                self.stats.add("accepted", 1)
 
     # -- issue ---------------------------------------------------------------------
 

@@ -719,7 +719,13 @@ def compile_payload(payload: ScenarioPayload,
 
 
 def parse_payload_text(text: str) -> Any:
-    """Parse payload text: YAML when PyYAML is installed, else JSON."""
+    """Parse payload text: YAML when PyYAML is installed, else JSON.
+
+    Any parse failure is a :class:`PayloadError`, including the
+    ``ValueError`` a well-formed but impossible YAML scalar raises
+    (``2001-13-01``, ``!!int abc``) and the ``RecursionError`` of
+    pathologically deep nesting.
+    """
     try:
         import yaml
     except ImportError:
@@ -727,13 +733,13 @@ def parse_payload_text(text: str) -> Any:
     if yaml is not None:
         try:
             return yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise PayloadError("<payload>", f"invalid YAML: {exc}") from None
     import json
 
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PayloadError(
             "<payload>",
             f"PyYAML is not installed and the payload is not valid JSON: {exc}"

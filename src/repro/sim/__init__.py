@@ -2,8 +2,7 @@
 
 The kernel is deliberately small: an event engine with integer cycle
 timestamps (:class:`~repro.sim.engine.Engine`), a base class for named
-components (:class:`~repro.sim.component.Component`), bounded queues used to
-connect pipeline stages (:mod:`repro.sim.queueing`), and a statistics tree
+components (:class:`~repro.sim.component.Component`), and a statistics tree
 (:mod:`repro.sim.stats`).
 
 All timing in the repository is expressed in DRAM clock cycles of the
@@ -13,7 +12,6 @@ tick equals one DRAM cycle.
 
 from repro.sim.component import Component
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.queueing import BoundedQueue, QueueFullError
 from repro.sim.scheduler import (
     DEFAULT_SCHEDULER,
     SCHEDULER_ENV,
@@ -27,14 +25,12 @@ from repro.sim.scheduler import (
 from repro.sim.stats import StatScope
 
 __all__ = [
-    "BoundedQueue",
     "CalendarScheduler",
     "Component",
     "DEFAULT_SCHEDULER",
     "Engine",
     "EventHandle",
     "HeapScheduler",
-    "QueueFullError",
     "SCHEDULERS",
     "SCHEDULER_ENV",
     "Scheduler",

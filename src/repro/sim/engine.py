@@ -255,11 +255,11 @@ class Engine:
         self._scheduler.push(time, handle)
         return handle
 
-    def reschedule(self, handle: Optional[EventHandle], delay: int) -> EventHandle:
-        """Supersede ``handle`` (if any) with a fresh one ``delay`` from now.
+    def reschedule(self, handle: EventHandle, delay: int) -> EventHandle:
+        """Supersede ``handle`` with a fresh one ``delay`` from now.
 
-        Cancels the old handle and schedules its callback again — or, when
-        ``handle`` is ``None``, this is just :meth:`schedule_cancellable`.
+        Cancels the old handle and schedules its callback again.  The
+        handle is required: ``None`` raises :class:`SimulationError`.
         """
         if handle is None:
             raise SimulationError("reschedule() needs a handle to supersede")

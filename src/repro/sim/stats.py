@@ -100,10 +100,10 @@ class Histogram:
 
         Exact while ``count <= cap``; a reservoir estimate afterwards.
         """
-        if not self.values:
-            return 0.0
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
+        if not self.values:
+            return 0.0
         ordered = sorted(self.values)
         rank = max(0, min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1)))))
         return ordered[rank]

@@ -525,6 +525,5 @@ class TestLiveTreeIsClean:
         """The audited deliberate patterns stay suppressed (not deleted)."""
         report = lint_paths()
         suppressed = {(f.path, f.rule) for f in report.suppressed}
-        assert ("repro/sim/queueing.py", "no-id-order") in suppressed
         assert ("repro/sim/scheduler.py", "int-cycle-arithmetic") in suppressed
         assert ("repro/cxl/link.py", "int-cycle-arithmetic") in suppressed

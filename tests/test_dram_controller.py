@@ -170,6 +170,35 @@ class TestBackpressure:
         # Every parked request was eventually admitted and accounted.
         assert ctrl.stats.get("accepted") == 50
 
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_nonpositive_capacity_rejected(self, capacity):
+        # A queue that can never admit would park every request forever.
+        with pytest.raises(ValueError, match="queue_capacity"):
+            make_setup(queue_capacity=capacity)
+
+    def test_queue_never_exceeds_capacity(self):
+        engine, dimm, ctrl = make_setup(queue_capacity=2)
+        mapping = RankInterleaveMapping(GEO)
+        rng = np.random.default_rng(5)
+        depths = []
+        done = []
+
+        def on_complete(request):
+            depths.append(len(ctrl.queue))
+            done.append(request)
+
+        for _ in range(50):
+            req = MemoryRequest(addr=int(rng.integers(0, 1 << 20)) // 64 * 64,
+                                size=64, kind=AccessKind.READ,
+                                on_complete=on_complete)
+            req.coord = mapping.map(req.addr)
+            ctrl.submit_when_possible(req)
+            assert len(ctrl.queue) <= 2
+        engine.run()
+        assert len(done) == 50
+        assert max(depths) <= 2
+        assert ctrl.pending == 0
+
 
 class TestEnergy:
     def test_energy_scales_with_work(self):

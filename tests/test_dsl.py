@@ -1,8 +1,12 @@
 """Tests for the scenario DSL (repro.experiments.dsl)."""
 
+import copy
 import json
+import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import ExperimentScale, ParallelSweepRunner
 from repro.experiments.dsl import (
@@ -361,6 +365,81 @@ class TestLoading:
             with open(name, encoding="utf-8") as handle:
                 payload = validate_payload(parse_payload_text(handle.read()))
             assert payload.backends
+
+
+#: Random replacement values: scalars, lists and mappings, nested.
+_FUZZ_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=12)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=8,
+)
+
+
+def _field_paths(node, prefix=()):
+    """Every key/index path into a parsed payload, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths.extend(_field_paths(child, prefix + (key,)))
+    return paths
+
+
+def _example_payloads():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    payloads = []
+    for name in ("custom_scenario.yaml", "multi_tenant.yaml"):
+        path = os.path.join(root, "examples", name)
+        with open(path, encoding="utf-8") as handle:
+            payloads.append(parse_payload_text(handle.read()))
+    return payloads
+
+
+_EXAMPLES = _example_payloads()
+
+
+@st.composite
+def _mutated_examples(draw):
+    """One repo example with one field replaced by a random value."""
+    payload = copy.deepcopy(draw(st.sampled_from(_EXAMPLES)))
+    path = draw(st.sampled_from(_field_paths(payload)))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(_FUZZ_VALUES)
+    return payload
+
+
+class TestFuzz:
+    """Malformed input fails as a PayloadError, never as a crash."""
+
+    @settings(max_examples=150)
+    @given(_mutated_examples())
+    def test_mutated_example_compiles_or_raises_payload_error(self, data):
+        try:
+            compile_payload(validate_payload(data))
+        except PayloadError:
+            pass
+
+    @settings(max_examples=50)
+    @given(st.text(max_size=200))
+    @example("2001-13-01")
+    @example("queries: !!int abc")
+    @example("[" * 5000)
+    def test_arbitrary_text_parses_or_raises_payload_error(self, text):
+        try:
+            parse_payload_text(text)
+        except PayloadError:
+            pass
 
 
 class TestSchemaReference:

@@ -67,17 +67,12 @@ class TestCatalogue:
 
 
 class TestEndToEnd:
-    @pytest.fixture(scope="class")
-    def quick_results(self):
-        # One serial quick-scale pass over the whole catalogue, shared by
-        # the assertions below (each scenario is minutes at bench scale,
-        # seconds at quick scale).
-        scale = ExperimentScale.quick()
-        runner = ParallelSweepRunner(jobs=1)
-        return {
-            name: spec.run(scale, runner=runner)
-            for name, spec in SCENARIOS.items()
-        }
+    # ``quick_wheel_results`` (conftest.py): one serial quick-scale pass
+    # over the whole catalogue, shared by the assertions below.
+    @pytest.fixture
+    def quick_results(self, quick_wheel_results):
+        assert list(quick_wheel_results) == list(SCENARIOS)
+        return quick_wheel_results
 
     def test_every_scenario_yields_a_result(self, quick_results):
         for name, result in quick_results.items():

@@ -225,3 +225,11 @@ def test_run_until_non_numeric_rejected(scheduler):
         eng.run(until="10")
     with pytest.raises(SimulationError, match=r"until=\[None\]"):
         eng.run(until=[None])
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_reschedule_requires_a_handle(scheduler):
+    eng = Engine(scheduler=scheduler)
+    with pytest.raises(SimulationError, match="needs a handle"):
+        eng.reschedule(None, 1)
+    assert len(eng.scheduler) == 0

@@ -1,8 +1,8 @@
-"""Unit tests for the stats tree and bounded queues."""
+"""Unit tests for the stats tree and its histograms."""
 
 import pytest
 
-from repro.sim import BoundedQueue, QueueFullError, StatScope
+from repro.sim import StatScope
 from repro.sim.stats import Histogram
 
 
@@ -71,6 +71,13 @@ class TestHistogram:
         with pytest.raises(ValueError):
             hist.percentile(101)
 
+    def test_percentile_validation_when_empty(self):
+        # The range check does not depend on having samples.
+        hist = Histogram()
+        for p in (101, -1):
+            with pytest.raises(ValueError):
+                hist.percentile(p)
+
     def test_empty_histogram_summary(self):
         hist = Histogram()
         assert hist.mean == 0.0
@@ -123,132 +130,3 @@ class TestHistogram:
             outputs.append(json.loads(proc.stdout))
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0]) == 64
-
-
-class TestBoundedQueue:
-    def test_fifo_order(self):
-        q = BoundedQueue("q")
-        for i in range(5):
-            q.push(i)
-        assert [q.pop() for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_capacity_enforced(self):
-        q = BoundedQueue("q", capacity=2)
-        q.push(1)
-        q.push(2)
-        assert q.full()
-        with pytest.raises(QueueFullError):
-            q.push(3)
-        assert not q.try_push(3)
-        q.pop()
-        assert q.try_push(3)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            BoundedQueue("q", capacity=0)
-
-    def test_push_notification(self):
-        q = BoundedQueue("q")
-        hits = []
-        q.on_push(lambda: hits.append(len(q)))
-        q.push("a")
-        q.push("b")
-        assert hits == [1, 2]
-
-    def test_peek_and_remove(self):
-        q = BoundedQueue("q")
-        q.push("a")
-        q.push("b")
-        assert q.peek() == "a"
-        q.remove("b")
-        assert len(q) == 1
-        assert q.pop() == "a"
-
-    def test_pop_empty_raises(self):
-        q = BoundedQueue("q")
-        with pytest.raises(IndexError):
-            q.pop()
-        with pytest.raises(IndexError):
-            q.peek()
-
-    def test_occupancy_stats(self):
-        q = BoundedQueue("q")
-        q.push(1)
-        q.push(2)
-        q.pop()
-        q.push(3)
-        assert q.pushes == 3
-        assert q.pops == 1
-        assert q.max_occupancy == 2
-
-
-class TestBoundedQueueTombstones:
-    """Out-of-order removal is tombstoned (O(1)), not spliced; the FIFO
-    view through pop/peek/items must be unaffected."""
-
-    def test_remove_middle_preserves_fifo(self):
-        q = BoundedQueue("q")
-        items = [object() for _ in range(5)]
-        for item in items:
-            q.push(item)
-        q.remove(items[2])
-        assert len(q) == 4
-        assert list(q.items()) == [items[0], items[1], items[3], items[4]]
-        assert [q.pop() for _ in range(4)] == \
-            [items[0], items[1], items[3], items[4]]
-        assert q.empty()
-
-    def test_double_remove_raises(self):
-        q = BoundedQueue("q")
-        a, b = object(), object()
-        q.push(a)
-        q.push(b)
-        q.remove(b)
-        with pytest.raises(ValueError):
-            q.remove(b)
-
-    def test_pop_and_peek_skip_tombstoned_head_run(self):
-        q = BoundedQueue("q")
-        items = [object() for _ in range(4)]
-        for item in items:
-            q.push(item)
-        q.pop()                 # head leaves first ...
-        q.remove(items[1])      # ... then the new head is tombstoned
-        q.remove(items[2])
-        assert q.peek() is items[3]
-        assert q.pop() is items[3]
-        assert not q
-
-    def test_removal_is_by_identity(self):
-        q = BoundedQueue("q")
-        first, second = [1], [1]   # equal but distinct
-        q.push(first)
-        q.push(second)
-        q.remove(second)
-        assert list(q.items()) == [first]
-        assert q.pop() is first
-
-    def test_capacity_frees_on_tombstone(self):
-        q = BoundedQueue("q", capacity=2)
-        a, b = object(), object()
-        q.push(a)
-        q.push(b)
-        assert q.full()
-        q.remove(b)
-        assert not q.full()
-        q.push(object())
-        assert q.full()
-
-    def test_many_removals_compact_the_deque(self):
-        q = BoundedQueue("q")
-        items = [object() for _ in range(64)]
-        for item in items:
-            q.push(item)
-        survivor = items[0]
-        for item in items[1:]:
-            q.remove(item)
-        assert len(q) == 1
-        # The amortized rebuild keeps the backing deque from holding all
-        # 63 tombstones forever.
-        assert len(q._items) < 32
-        assert q.pop() is survivor
