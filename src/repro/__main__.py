@@ -265,6 +265,9 @@ def _run_trace(args, parser) -> int:
                 f"unknown trace categories {sorted(unknown)}; "
                 f"known: {list(TRACE_CATEGORIES)}"
             )
+    if args.metrics_interval is not None and not args.metrics_out:
+        parser.error("--metrics-interval samples counters for "
+                     "--metrics-out; name the output file too")
     metrics_interval = args.metrics_interval
     if metrics_interval is None and args.metrics_out:
         from repro.obs.session import DEFAULT_METRICS_INTERVAL
@@ -351,10 +354,15 @@ def _run_profile(args, parser) -> int:
         write_flamegraph,
     )
 
+    outputs = [flag for flag, path in (("--profile-out", args.profile_out),
+                                       ("--flame-out", args.flame_out))
+               if path is not None]
     if args.diff:
         if args.delays:
             parser.error("--delays profiles a figure run; "
                          "it cannot be combined with --diff")
+        if outputs:
+            parser.error(f"--diff writes no files; drop {', '.join(outputs)}")
         path_a, path_b = args.diff
         try:
             deltas = diff_reports(ProfileReport.load(path_a),
@@ -368,7 +376,12 @@ def _run_profile(args, parser) -> int:
 
     figure = _resolve_target(parser, args.figure)
     if args.delays:
+        if outputs:
+            parser.error(f"--delays writes no files; "
+                         f"drop {', '.join(outputs)}")
         return _profile_delays(figure)
+    profile_out = args.profile_out or "profile.json"
+    flame_out = args.flame_out or "profile.folded"
 
     session = TraceSession(limit=0, profile=True)
     runner = ParallelSweepRunner(jobs=1)
@@ -377,13 +390,13 @@ def _run_profile(args, parser) -> int:
         SCENARIOS[figure].run(ExperimentScale.quick(), runner=runner)
     elapsed = time.time() - started
     report = session.profile_report(figure=figure, scale="quick")
-    report.save(args.profile_out)
-    stacks = write_flamegraph(report, args.flame_out)
+    report.save(profile_out)
+    stacks = write_flamegraph(report, flame_out)
     print(render_summary(report), end="")
     print(f"[profile] {figure} took {elapsed:.1f}s at quick scale "
           f"({report.events_seen} events profiled in-stream)")
-    print(f"[profile] wrote {args.profile_out} (schema {report.schema})")
-    print(f"[profile] wrote {args.flame_out} ({stacks} collapsed stacks; "
+    print(f"[profile] wrote {profile_out} (schema {report.schema})")
+    print(f"[profile] wrote {flame_out} ({stacks} collapsed stacks; "
           "feed to any flamegraph tool)")
     return 0
 
@@ -530,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--metrics-interval", type=_int_at_least(1),
                      default=None, metavar="CYCLES",
                      help="metric sampling interval in simulated cycles "
-                          "(default: 50,000)")
+                          "(default: 50,000; needs --metrics-out)")
 
     sub = verb("profile", _run_profile,
                "run one figure under the latency profiler, or compare two "
@@ -546,12 +559,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print the schedule-delay histogram of one "
                           "serial quick-scale run (the distribution the "
                           "timing wheel's ring size is chosen against)")
-    sub.add_argument("--profile-out", default="profile.json", metavar="FILE",
+    sub.add_argument("--profile-out", default=None, metavar="FILE",
                      help="ProfileReport JSON output path "
-                          "(default: %(default)s)")
-    sub.add_argument("--flame-out", default="profile.folded", metavar="FILE",
+                          "(default: profile.json)")
+    sub.add_argument("--flame-out", default=None, metavar="FILE",
                      help="collapsed-stack flamegraph output path "
-                          "(default: %(default)s)")
+                          "(default: profile.folded)")
 
     sub = verb("lint", lint_cli.run,
                "simulator-aware static analysis: determinism, "

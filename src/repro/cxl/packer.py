@@ -189,9 +189,8 @@ class PackedChannel(Component):
                 wire, deliver, tag = self._take_batch()
         # -- onto the wire: ``wire`` bytes, ``deliver`` fires at arrival --
         # Link counter updates inlined (four per transfer).  Keys are
-        # created lazily on the first transfer, so an idle link still
-        # reports no counters (diagnostics keys on ``wire_bytes`` presence
-        # to find active links).
+        # created lazily on the first transfer, exactly as ``stats.add``
+        # would, so an idle link still reports no counters.
         counters = self._wire
         if "messages" not in counters:
             counters["messages"] = 0.0

@@ -226,7 +226,6 @@ class DimmController(Component):
         counters["bursts"] += bursts
         counters["bytes_accessed"] += bursts * group_bytes
         counters["useful_bytes"] += request.size
-        self.stats.record("service_cycles", finish - now)
         # The completion cycle is known now: stamp it and schedule the
         # request's bound completion method instead of a per-request lambda.
         # ``finish`` is integral and not before ``now`` by construction

@@ -31,16 +31,13 @@ Fleet telemetry (see :mod:`repro.obs.telemetry` and docs/OBSERVABILITY.md,
 * ``ledger_path`` (argument or ``REPRO_LEDGER``) appends one JSONL
   lifecycle event per job — ``queued`` / ``started`` / ``heartbeat`` /
   ``finished`` / ``failed`` — with wall time, worker id, parameter
-  digest, index-cache and step-memo deltas, and a result-fingerprint
-  digest.  Workers produce their own ``started``/``finished``/``failed``
-  events and the parent merges them, so the ledger schema is identical
-  serially and pooled.
+  digest, index-cache and step-memo deltas, and the full-result digest
+  (:func:`repro.perf.result_digest`) under the ``fingerprint`` key.
+  Workers produce their own ``started``/``finished``/``failed`` events
+  and the parent merges them, so the ledger schema is identical serially
+  and pooled.
 * ``progress=True`` (or ``REPRO_PROGRESS=1``) draws an opt-in, stderr-only
   progress line as jobs complete.
-* The shared :func:`repro.obs.telemetry.get_registry` metrics registry
-  counts jobs by terminal status and observes per-job wall time; pool
-  workers ship their registry deltas back with each result and the
-  parent folds them in.
 
 Every outcome — success or failure — carries per-job wall time and a
 worker id on the serial and pooled paths alike.  A job that raises no
@@ -62,7 +59,6 @@ bit-identical with the ledger and progress line enabled.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import re
@@ -95,7 +91,6 @@ from repro.obs.telemetry.ledger import (
     worker_id,
 )
 from repro.obs.telemetry.progress import ProgressLine
-from repro.obs.telemetry.registry import diff_snapshots, get_registry
 
 #: Environment variable naming the ledger file (same precedence pattern
 #: as ``REPRO_TRACE_DIR`` / ``REPRO_PROFILE_DIR``).
@@ -200,8 +195,8 @@ class JobOutcome:
     """Everything one executed job reports back to the parent.
 
     Picklable by construction (plain data only), so the pool path ships
-    the same payload the serial path produces — the ledger and the
-    metrics registry see one schema regardless of parallelism.
+    the same payload the serial path produces — the ledger sees one
+    schema regardless of parallelism.
     """
 
     key: str
@@ -212,9 +207,6 @@ class JobOutcome:
     #: ledger (``started`` then ``finished``/``failed``), or ``[]`` when
     #: the batch runs without a ledger.
     events: List[Dict[str, Any]] = field(default_factory=list)
-    #: Worker registry delta rows (pool path only; the serial path
-    #: mutates the parent registry directly).
-    registry_delta: List[Dict[str, Any]] = field(default_factory=list)
     #: Failure payload (``None`` on success).
     error: Optional[str] = None
     error_type: Optional[str] = None
@@ -229,38 +221,22 @@ class JobOutcome:
         return self.error is not None
 
 
-def _result_fingerprint_digest(result: Any) -> str:
-    """Digest of the bench fingerprint of ``result``.
-
-    Imported lazily: :mod:`repro.perf.harness` imports the experiments
-    package, so a top-level import here would be circular.  Results with
-    no reachable Reports digest the empty fingerprint — still a stable
-    identity for a resumable-sweep cache.
-    """
-    from repro.perf.harness import fingerprint
-
-    return hashlib.sha256(repr(fingerprint(result)).encode("utf-8")) \
-        .hexdigest()
-
-
 def _execute_job_with_meta(
     job: SweepJob,
     trace_dir: Optional[str] = None,
     profile_dir: Optional[str] = None,
     telemetry: bool = False,
-    capture_registry: bool = False,
 ) -> JobOutcome:
     """Worker entry point (module-level so the pool can pickle it).
 
     Runs the job (with per-job trace/profile sessions when configured),
     times it, and — with ``telemetry`` — captures the ledger events,
-    index-cache and step-memo deltas, and result-fingerprint digest the
-    parent merges.
+    index-cache and step-memo deltas, and full-result digest the parent
+    merges.
     Exceptions are captured into the outcome rather than propagated, so
     one failure cannot silence the rest of a batch's records.
     """
     me = worker_id()
-    registry_before = get_registry().snapshot() if capture_registry else None
     cache_before = index_cache.cache_stats() if telemetry else None
     memo_before = step_memo_stats() if telemetry else None
     # Wall-clock here is fleet telemetry (job timing *is* the payload);
@@ -299,11 +275,14 @@ def _execute_job_with_meta(
     wall = time.perf_counter() - started_perf  # repro: allow[no-wall-clock] -- telemetry bookkeeping (see above)
     outcome = JobOutcome(key=job.key, worker=me, wall_s=wall, result=result)
     if telemetry:
+        # Imported here: repro.perf imports the experiments package, so a
+        # top-level import would be circular.
+        from repro.perf.harness import result_digest
+
         cache_after = index_cache.cache_stats()
         cache_delta = {
             key: cache_after[key] - cache_before[key] for key in cache_after
         }
-        index_cache.publish_cache_metrics(cache_delta)
         memo_after = step_memo_stats()
         events.append({
             "event": "finished", "job": job.key, "worker": me,
@@ -313,13 +292,9 @@ def _execute_job_with_meta(
             "step_memo": {
                 key: memo_after[key] - memo_before[key] for key in memo_after
             },
-            "fingerprint": _result_fingerprint_digest(result),
+            "fingerprint": result_digest(result),
         })
         outcome.events = events
-    if capture_registry:
-        outcome.registry_delta = diff_snapshots(
-            registry_before, get_registry().snapshot()
-        )
     return outcome
 
 
@@ -458,7 +433,7 @@ class ParallelSweepRunner:
     def _execute_batch(
         self, jobs: List[SweepJob], label: Optional[str]
     ) -> Dict[str, JobOutcome]:
-        """Shared batch machinery: ledger bracket, execution, metrics."""
+        """Shared batch machinery: ledger bracket, then execution."""
         keys = [job.key for job in jobs]
         if len(set(keys)) != len(keys):
             dupes = sorted({k for k in keys if keys.count(k) > 1})
@@ -508,7 +483,6 @@ class ParallelSweepRunner:
                 progress_line.close()
         failed = [o for o in outcomes.values() if o.failed]
         self.last_failures = {o.key: o.error or "" for o in failed}
-        self._count_outcomes(outcomes.values())
         if writer is not None:
             # repro: allow[transitive-wall-clock] -- ledger timestamp is
             # host-side provenance, never simulated state.
@@ -523,33 +497,15 @@ class ParallelSweepRunner:
         """Like :meth:`run`, returning just the results in submission order."""
         return list(self.run(jobs).values())
 
-    def _count_outcomes(self, outcomes) -> None:
-        """Fold a batch's outcomes into the shared metrics registry."""
-        registry = get_registry()
-        status_counter = registry.counter(
-            "repro_sweep_jobs_total",
-            "sweep jobs by terminal status", labels=("status",),
-        )
-        wall_hist = registry.histogram(
-            "repro_sweep_job_wall_seconds", "per-job wall time",
-        )
-        for outcome in outcomes:
-            status = "failed" if outcome.failed else "finished"
-            status_counter.labels(status=status).inc()
-            wall_hist.observe(outcome.wall_s)
-
     def _absorb(self, outcome: JobOutcome,
                 writer: Optional[LedgerWriter],
-                progress_line: Optional[ProgressLine],
-                merge_registry: bool) -> None:
+                progress_line: Optional[ProgressLine]) -> None:
         """Parent-side bookkeeping for one completed job."""
         if writer is not None and outcome.events:
             # repro: allow[transitive-wall-clock] -- merged ledger events
             # carry worker-side wall timestamps (telemetry provenance),
             # not simulated time.
             writer.merge(outcome.events)
-        if merge_registry and outcome.registry_delta:
-            get_registry().merge_snapshot(outcome.registry_delta)
         if progress_line is not None:
             # repro: allow[transitive-wall-clock] -- progress ETA math
             # reads host time; console-only, result-invisible.
@@ -577,11 +533,10 @@ class ParallelSweepRunner:
                     last_beat = now
                 outcome = _execute_job_with_meta(
                     job, self.trace_dir, self.profile_dir,
-                    telemetry=telemetry, capture_registry=False,
+                    telemetry=telemetry,
                 )
                 outcomes[job.key] = outcome
-                self._absorb(outcome, writer, progress_line,
-                             merge_registry=False)
+                self._absorb(outcome, writer, progress_line)
         return outcomes
 
     def _run_pool(
@@ -595,7 +550,7 @@ class ParallelSweepRunner:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_execute_job_with_meta, job, self.trace_dir,
-                            self.profile_dir, telemetry, telemetry)
+                            self.profile_dir, telemetry)
                 for job in jobs
             ]
             handled = [False] * len(futures)
@@ -615,8 +570,7 @@ class ParallelSweepRunner:
                     progressed = True
                     outcome = future.result()
                     outcomes[outcome.key] = outcome
-                    self._absorb(outcome, writer, progress_line,
-                                 merge_registry=True)
+                    self._absorb(outcome, writer, progress_line)
                 if not progressed and writer is not None:
                     running = [
                         job.key for job, done in zip(jobs, handled)

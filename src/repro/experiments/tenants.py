@@ -702,44 +702,10 @@ def build_saturation_jobs(scale: ExperimentScale) -> List[SweepJob]:
     return jobs
 
 
-def publish_serving_metrics(result: MultiTenantResult) -> None:
-    """Fold one serving family's points into the fleet-telemetry registry.
-
-    Purely observational (collection, not simulation, calls this): a
-    counter of collected points by backend and saturation verdict, and a
-    gauge of the last achieved throughput per swept point — the series a
-    Prometheus scrape of a long serving campaign would chart.  Imported
-    lazily so the serving layer has no hard telemetry dependency.
-    """
-    from repro.obs.telemetry.registry import get_registry
-
-    registry = get_registry()
-    points = registry.counter(
-        "repro_serving_points_total",
-        "collected serving sweep points by backend and verdict",
-        labels=("backend", "verdict"),
-    )
-    achieved = registry.gauge(
-        "repro_serving_achieved_per_kcycle",
-        "achieved queries per kilocycle of the latest collected point",
-        labels=("backend", "tenants", "arrival"),
-    )
-    for point in result.points:
-        verdict = "saturated" if point.saturated else "ok"
-        points.labels(backend=point.backend, verdict=verdict).inc()
-        achieved.labels(
-            backend=point.backend,
-            tenants=str(point.tenants),
-            arrival=f"{point.arrival_scale:g}",
-        ).set(point.achieved_per_kcycle)
-
-
 def collect_serving(scale: ExperimentScale,
                     results: Dict[str, Any]) -> MultiTenantResult:
     """Fold finished serving points (job order) into the family result."""
-    result = MultiTenantResult(points=list(results.values()))
-    publish_serving_metrics(result)
-    return result
+    return MultiTenantResult(points=list(results.values()))
 
 
 def present_serving(result: MultiTenantResult) -> None:

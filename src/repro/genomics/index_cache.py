@@ -43,7 +43,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -217,35 +217,3 @@ def get_cache() -> IndexCache:
 def cache_stats() -> Dict[str, Any]:
     """Snapshot of the shared cache's counters (for bench notes / tests)."""
     return GLOBAL_CACHE.stats.snapshot()
-
-
-def publish_cache_metrics(delta: Optional[Dict[str, Any]] = None) -> None:
-    """Fold cache counters into the shared fleet-telemetry registry.
-
-    ``delta`` is a stats-delta dict (the before/after difference one sweep
-    job produced); without it the shared cache's *absolute* counters are
-    published, which is only correct once per process.  The sweep runner
-    calls this per job with the job's delta, so counts sum correctly when
-    pool workers ship their registry deltas back to the parent.  Imported
-    lazily — telemetry is an optional observer of this module, not a
-    dependency.
-    """
-    from repro.obs.telemetry.registry import get_registry
-
-    rows = delta if delta is not None else cache_stats()
-    registry = get_registry()
-    events = registry.counter(
-        "repro_index_cache_events_total",
-        "index-cache activity by kind", labels=("kind",),
-    )
-    build = registry.counter(
-        "repro_index_cache_build_seconds_total",
-        "wall seconds spent building indexes on cache misses",
-    )
-    for kind in ("hits", "misses", "evictions", "bypasses"):
-        value = rows.get(kind, 0)
-        if value:
-            events.labels(kind=kind).inc(value)
-    build_s = rows.get("build_s", 0.0)
-    if build_s:
-        build.inc(build_s)

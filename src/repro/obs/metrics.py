@@ -1,9 +1,9 @@
 """Live metric sampling: periodic StatScope snapshots along the timeline.
 
-Post-run diagnostics (:mod:`repro.experiments.diagnostics`) answer *what*
-a run cost; :class:`MetricsSampler` answers *when*, by snapshotting the
-statistics tree at a configurable simulated-time interval while the run is
-in flight.
+The ``StatScope`` counters at the end of a run say *what* it cost;
+:class:`MetricsSampler` answers *when*, by snapshotting the statistics
+tree at a configurable simulated-time interval while the run is in
+flight.
 
 The sampler is deliberately **passive**: it never schedules engine events.
 Scheduling a periodic poller event would extend ``Engine.run()`` (the

@@ -11,7 +11,7 @@ from repro.perf.harness import (
     BENCH_SCHEMA,
     BenchMismatchError,
     bench_figures,
-    fingerprint,
+    result_digest,
     run_bench,
 )
 
@@ -19,6 +19,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "BenchMismatchError",
     "bench_figures",
-    "fingerprint",
+    "result_digest",
     "run_bench",
 ]

@@ -10,7 +10,8 @@ Each benched figure is simulated exactly twice at quick scale:
    :class:`~repro.obs.TraceSession` with metric sampling, a run ledger in a
    temp file, and a progress line sent to a string buffer.
 
-The two results must have the same full-result digest (:func:`_digest`):
+The two results must have the same full-result digest
+(:func:`result_digest`):
 every field of the result object, not only its
 :class:`~repro.core.metrics.Report`\\ s.  Caching, fan-out, the scheduler
 choice and the observers are all pure host-side concerns, so any
@@ -42,11 +43,8 @@ import json
 import os
 import tempfile
 from dataclasses import fields, is_dataclass
-from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence
 
-from repro.core.metrics import Report
 from repro.experiments import ExperimentScale, ParallelSweepRunner
 from repro.experiments.scenarios import SCENARIOS, ensure_registered
 from repro.genomics import index_cache
@@ -65,46 +63,7 @@ BENCH_FIGURES: Dict[str, Callable[..., Any]] = {
 }
 
 
-# -- result fingerprinting ---------------------------------------------------------
-
-
-def _walk_reports(obj: Any) -> Iterator[Report]:
-    """Yield every :class:`Report` reachable from a result object, in a
-    deterministic traversal order (dataclass field order, list order,
-    insertion order for dicts)."""
-    if isinstance(obj, Report):
-        yield obj
-        return
-    if is_dataclass(obj) and not isinstance(obj, type):
-        for f in fields(obj):
-            yield from _walk_reports(getattr(obj, f.name))
-        return
-    if isinstance(obj, dict):
-        for value in obj.values():
-            yield from _walk_reports(value)
-        return
-    if isinstance(obj, (list, tuple)):
-        for value in obj:
-            yield from _walk_reports(value)
-
-
-def fingerprint(result: Any) -> List[Tuple]:
-    """Exact (bit-identical) digest of every report in a figure result."""
-    return [
-        (
-            r.label,
-            r.system,
-            r.algorithm,
-            r.dataset,
-            r.runtime_cycles,
-            r.energy_dram_nj,
-            r.energy_comm_nj,
-            r.energy_compute_nj,
-            r.tasks_completed,
-            r.mem_requests,
-        )
-        for r in _walk_reports(result)
-    ]
+# -- result digest -----------------------------------------------------------------
 
 
 def _canonical(obj: Any) -> str:
@@ -133,12 +92,13 @@ def _canonical(obj: Any) -> str:
     return repr(obj)
 
 
-def _digest(result: Any) -> str:
+def result_digest(result: Any) -> str:
     """sha256 of :func:`_canonical`: the full-result digest.
 
-    Stricter than :func:`fingerprint`: besides the Report fields it covers
-    every derived series and scalar (fig13's chip profiles and fig17's
-    energy shares publish no Report at all), with floats compared exactly.
+    The one result-equality notion: ``repro bench`` compares it, and the
+    run ledger records it per job.  It covers every field of the result,
+    not only its Reports (fig13's chip profiles and fig17's energy shares
+    publish no Report at all), with floats compared exactly.
     """
     return hashlib.sha256(_canonical(result).encode("utf-8")).hexdigest()
 
@@ -235,8 +195,8 @@ def bench_figures(
         if progress:
             progress(f"[bench] {name}: production run, then reference run ...")
         with _environ(_PRODUCTION_ENV):
-            digest = _digest(fn(scale, runner=runner))
-        reference = _digest(_reference_run(fn, scale))
+            digest = result_digest(fn(scale, runner=runner))
+        reference = result_digest(_reference_run(fn, scale))
         if digest != reference:
             raise BenchMismatchError(
                 f"{name}: the production run (jobs={runner.jobs}, caches on, "

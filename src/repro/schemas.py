@@ -1,8 +1,8 @@
 """Central registry of every ``repro-*/N`` artifact-schema identifier.
 
 Each machine-readable artifact the repo emits — bench results, latency
-profiles, lint reports, run ledgers, metrics snapshots — carries a ``"schema"`` field whose value names its layout
-and version.  Before this module those identifiers were string literals
+profiles, lint reports, run ledgers, metric samples — carries a
+``"schema"`` field whose value names its layout and version.  Before this module those identifiers were string literals
 scattered across the emitting modules, so nothing stopped an emit site
 and its parse site from silently drifting apart, and nothing enumerated
 the vocabulary for consumers.
@@ -29,7 +29,6 @@ SCHEMAS: Dict[str, str] = {
     "bench": "repro-bench/4",
     "ledger": "repro-ledger/1",
     "lint": "repro-lint/2",
-    "metrics": "repro-metrics/1",
     "metrics-samples": "repro-metrics-samples/1",
     "profile": "repro-profile/1",
 }

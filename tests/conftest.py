@@ -6,7 +6,10 @@ load) and deterministic derandomization so CI failures reproduce locally.
 
 The ``quick_wheel_results`` fixture simulates every benched scenario once
 per session, so the end-to-end and parity suites share one pass.
+:func:`walk_reports` finds the Reports inside a result object.
 """
+
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -39,3 +42,21 @@ def quick_wheel_results():
         patch.setenv(SCHEDULER_ENV, "wheel")
         return {name: run(scale, runner=runner)
                 for name, run in BENCH_FIGURES.items()}
+
+
+def walk_reports(obj):
+    """Every :class:`~repro.core.metrics.Report` reachable from ``obj``:
+    dataclass fields, dict values, list and tuple items, in order."""
+    from repro.core.metrics import Report
+
+    if isinstance(obj, Report):
+        yield obj
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        for f in fields(obj):
+            yield from walk_reports(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from walk_reports(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from walk_reports(value)

@@ -100,6 +100,16 @@ def test_bad_numeric_flags_fail_at_parse_time(argv, flag, capsys):
     assert "Traceback" not in err
 
 
+def test_metrics_interval_without_metrics_out_is_rejected(tmp_path, capsys):
+    trace_out = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "fig16", "--metrics-interval", "1000",
+              "--trace-out", str(trace_out)])
+    assert excinfo.value.code == 2
+    assert "--metrics-out" in capsys.readouterr().err
+    assert not trace_out.exists()
+
+
 def test_seed_is_rejected_for_registered_scenarios(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "fig13", "--quick", "--seed", "7"])

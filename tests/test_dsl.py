@@ -24,7 +24,8 @@ from repro.experiments.dsl import (
     validate_payload,
 )
 from repro.experiments.tenants import MultiTenantResult
-from repro.perf.harness import fingerprint
+from repro.perf import result_digest
+from tests.conftest import walk_reports
 
 
 def sweep_payload(**overrides):
@@ -314,9 +315,10 @@ class TestRoundTrip:
                                                             runner=runner)
         second = compile_payload(validate_payload(data)).run(scale,
                                                              runner=runner)
-        prints = fingerprint(first)
-        assert prints and prints == fingerprint(second)
-        assert all(row[4] > 0 for row in prints)
+        assert result_digest(first) == result_digest(second)
+        reports = list(walk_reports(first))
+        assert reports
+        assert all(report.runtime_cycles > 0 for report in reports)
 
     def test_multi_tenant_payload_runs_deterministically(self):
         data = tenant_payload()
@@ -327,7 +329,7 @@ class TestRoundTrip:
         second = compile_payload(validate_payload(data)).run(scale,
                                                              runner=runner)
         assert isinstance(first, MultiTenantResult)
-        assert fingerprint(first) == fingerprint(second)
+        assert result_digest(first) == result_digest(second)
         assert first.points[0].queries == 13
 
     def test_axis_overrides_change_the_simulated_machine(self):

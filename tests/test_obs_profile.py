@@ -1,6 +1,6 @@
 """Latency-attribution tests: span stitching, the exact-sum guarantee,
 ProfileReport/flamegraph round trips, the profile CLI, per-job profiles,
-and the diagnostics cross-check."""
+and the cross-check against the simulator's own counters."""
 
 import json
 import os
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.core import Algorithm, BeaconConfig, BeaconD, OptimizationFlags
 from repro.experiments import ExperimentScale, ParallelSweepRunner
-from repro.experiments.diagnostics import collect
 from repro.experiments.parallel import SweepJob, profile_path_for
 from repro.genomics.workloads import SEEDING_DATASETS, make_seeding_workload
 from repro.obs import (
@@ -31,7 +30,7 @@ from repro.obs import (
 )
 from repro.obs.profile import build_report
 from repro.experiments.scenarios import resolve_scenario
-from repro.perf.harness import _digest
+from repro.perf import result_digest
 
 TCK = 1.25
 
@@ -402,7 +401,7 @@ class TestLiveProfiling:
         plain = BENCH_FIGURES["fig16"](
             ExperimentScale.quick(), runner=ParallelSweepRunner(jobs=1)
         )
-        assert _digest(plain) == _digest(profiled_result)
+        assert result_digest(plain) == result_digest(profiled_result)
 
     def test_post_hoc_trace_profile_agrees_with_live(self, fig16_live_profile,
                                                      tmp_path):
@@ -426,7 +425,7 @@ class TestLiveProfiling:
             )
 
 
-# -- diagnostics cross-check -------------------------------------------------------
+# -- cross-check against the simulator's counters ---------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -442,49 +441,58 @@ def crosschecked_run():
         system.run_fm_seeding(workload)
     report = session.profile_report(figure="crosscheck")
     stitched = session.profiler.stitcher.finalize()
-    return system, collect(system), report, stitched
+    return system, report, stitched
 
 
 class TestDiagnosticsCrossCheck:
-    """The legacy StatScope-based diagnostics and the trace-driven profiler
-    measure the same run through independent instruments; they must agree.
-    Where both report a quantity the profiler is authoritative (see the
-    ``repro.experiments.diagnostics`` module docstring)."""
+    """The trace-driven profiler and the simulator's own counters
+    (``StatScope`` link counters, DIMM row tallies, the PE pools) measure
+    the same run through independent instruments; they must agree."""
 
     def test_link_utilization_agrees(self, crosschecked_run):
-        system, diag, report, stitched = crosschecked_run
+        system, _report, stitched = crosschecked_run
         pid = system.engine.trace_id
         runtime = stitched.runtimes[pid]
-        busy_by_suffix = {
+        end = system.engine.now
+        busy_by_path = {
             path: cycles
             for (busy_pid, path), cycles in stitched.busy_cycles.items()
             if busy_pid == pid
         }
         compared = 0
-        for link in diag.links:
+        for scope in system.pool.fabric.stats.walk():
+            if "busy_cycles" not in scope.counters:
+                continue
+            name = scope.path.split("fabric.")[-1]
             matches = [
-                cycles for path, cycles in busy_by_suffix.items()
-                if path.endswith(link.name)
+                cycles for path, cycles in busy_by_path.items()
+                if path.endswith(name)
             ]
             if not matches:
                 continue
             compared += 1
-            trace_util = min(1.0, matches[0] / runtime)
-            assert trace_util == pytest.approx(link.utilization, abs=0.01)
+            counted = min(1.0, scope.counters["busy_cycles"] / end)
+            traced = min(1.0, matches[0] / runtime)
+            assert traced == pytest.approx(counted, abs=0.01)
         assert compared >= 3
 
     def test_row_hit_rate_agrees(self, crosschecked_run):
-        _system, diag, report, _stitched = crosschecked_run
+        system, report, _stitched = crosschecked_run
         states = report.systems["beacon-d"]["requests"]["row_states"]
         total = sum(states.values())
         assert total > 0
         profiler_rate = states.get("hit", 0) / total
+        hits = sum(dimm.total_row_hits for dimm in system.pool.dimms)
+        activations = sum(
+            dimm.total_activations for dimm in system.pool.dimms
+        )
+        assert hits + activations > 0
         assert profiler_rate == pytest.approx(
-            diag.total_row_hit_rate(), abs=0.02
+            hits / (hits + activations), abs=0.02
         )
 
     def test_pe_utilization_agrees(self, crosschecked_run):
-        system, _diag, report, _stitched = crosschecked_run
+        system, report, _stitched = crosschecked_run
         end = system.engine.now
         pe_utils = report.systems["beacon-d"]["pe_utilization"]
         compared = 0
@@ -566,6 +574,27 @@ class TestProfileCli:
             main(argv)
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [
+        ["--diff", "a.json", "b.json"],
+        ["fig16", "--delays"],
+    ], ids=["diff", "delays"])
+    @pytest.mark.parametrize("flag", ["--profile-out", "--flame-out"])
+    def test_modes_that_write_nothing_reject_output_paths(
+            self, mode, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", *mode, flag, str(out)])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_outputs_land_in_the_working_directory(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["profile", "fig16"]) == 0
+        assert ProfileReport.load("profile.json").figure == "fig16"
+        assert os.path.getsize("profile.folded") > 0
 
 
 # -- per-job profiles through the runner -------------------------------------------

@@ -1,5 +1,5 @@
-"""Unit tests for the observability layer: recorders, sampling, export,
-and the memory-bounded histogram that backs live metrics."""
+"""Unit tests for the observability layer: recorders, sampling, and
+export."""
 
 import io
 import json
@@ -20,7 +20,7 @@ from repro.obs import (
     write_metrics_csv,
 )
 from repro.sim.engine import Engine
-from repro.sim.stats import Histogram, StatScope
+from repro.sim.stats import StatScope
 
 
 class TestNullRecorder:
@@ -207,44 +207,3 @@ class TestExport:
         rec.instant("dram", "noise", "sys.slow", 0, pid=0)
         (top, _), (second, _) = busiest_components(rec.chrome_events(), n=2)
         assert top.endswith("sys.slow") and second.endswith("sys.fast")
-
-
-class TestHistogramBounding:
-    def test_exact_until_cap(self):
-        hist = Histogram(cap=100)
-        for v in range(100):
-            hist.record(v)
-        assert not hist.saturated
-        assert hist.count == 100
-        assert hist.mean == pytest.approx(49.5)
-        assert hist.percentile(100) == 99  # exact: all samples retained
-
-    def test_memory_bounded_with_exact_aggregates(self):
-        hist = Histogram(cap=64)
-        n = 10_000
-        for v in range(n):
-            hist.record(v)
-        assert len(hist.values) == 64          # bounded retention
-        assert hist.saturated
-        assert hist.count == n                 # aggregates stay exact
-        assert hist.total == n * (n - 1) / 2
-        assert hist.mean == pytest.approx((n - 1) / 2)
-        assert hist.minimum == 0 and hist.maximum == n - 1
-        # The reservoir is a subset of what was recorded.
-        assert all(0 <= v < n for v in hist.values)
-
-    def test_reservoir_is_deterministic(self):
-        def build():
-            hist = Histogram(cap=32)
-            for v in range(5_000):
-                hist.record(v * 7 % 4999)
-            return hist.values
-
-        assert build() == build()
-
-    def test_default_cap_documented_value(self):
-        assert Histogram().cap == Histogram.CAP == 65536
-
-    def test_bad_cap_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(cap=0)

@@ -13,7 +13,8 @@ from repro.__main__ import main
 from repro.experiments import ExperimentScale, ParallelSweepRunner
 from repro.experiments.parallel import SweepJob, trace_path_for
 from repro.obs import TraceSession, load_trace, trace_layers
-from repro.perf.harness import BENCH_FIGURES, _digest
+from repro.perf import result_digest
+from repro.perf.harness import BENCH_FIGURES
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -75,7 +76,7 @@ class TestTracingIsObservational:
             ExperimentScale.quick(), runner=ParallelSweepRunner(jobs=1)
         )
         _session, traced = _run_traced(figure)
-        assert _digest(plain) == _digest(traced)
+        assert result_digest(plain) == result_digest(traced)
 
 
 class TestTraceCli:

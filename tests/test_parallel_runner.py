@@ -22,7 +22,7 @@ from repro.experiments import (
 from repro.experiments.parallel import SweepJobError, _execute_job
 from repro.experiments.runner import run_step_sweep
 from repro.obs.telemetry import read_ledger, summarize_ledger
-from repro.perf import fingerprint
+from repro.perf import result_digest
 
 
 def _square(x):
@@ -281,7 +281,7 @@ def test_ledger_schema_identical_serial_and_pooled(tmp_path):
 def test_sweep_determinism_serial_twice_and_parallel():
     """One quick-scale sweep on two fresh serial runners (so the second
     is simulated, not taken from the first's step memo) and once through
-    the pool: the Report cycle counts and energy totals must be identical."""
+    the pool: the full-result digests must be identical."""
     scale = _tiny_scale()
     first = ParallelSweepRunner(jobs=1).run(_seeding_jobs(scale))
     second = ParallelSweepRunner(jobs=1).run(_seeding_jobs(scale))
@@ -293,9 +293,7 @@ def test_sweep_determinism_serial_twice_and_parallel():
         pooled = pool_runner.run(_seeding_jobs(scale))
 
     assert list(first) == list(second) == list(pooled)
-    assert fingerprint(first) == fingerprint(second)
-    assert fingerprint(first) == fingerprint(pooled)
-    # The fingerprints cover real content (one entry per step report).
-    assert fingerprint(first)
+    assert result_digest(first) == result_digest(second)
+    assert result_digest(first) == result_digest(pooled)
     for sweep in first.values():
         assert all(s.report.runtime_cycles > 0 for s in sweep.steps)

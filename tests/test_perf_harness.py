@@ -6,6 +6,7 @@ observer on — and asserts the two full-result digests match.  These tests
 exercise the verifier on fake and cheap figures so the suite stays fast.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -21,10 +22,10 @@ from repro.perf import (
     BENCH_SCHEMA,
     BenchMismatchError,
     bench_figures,
-    fingerprint,
+    result_digest,
     run_bench,
 )
-from repro.perf.harness import BENCH_FIGURES, _digest
+from repro.perf.harness import BENCH_FIGURES
 
 
 def _report(cycles: int, label: str = "r") -> Report:
@@ -36,39 +37,40 @@ def _report(cycles: int, label: str = "r") -> Report:
     )
 
 
-# -- fingerprinting ----------------------------------------------------------------
-
-
-def test_fingerprint_reaches_nested_reports():
-    nested = {"a": [_report(10, "x")], "b": (_report(20, "y"),)}
-    prints = fingerprint(nested)
-    assert [p[0] for p in prints] == ["x", "y"]
-    assert [p[4] for p in prints] == [10, 20]
-
-
-def test_fingerprint_is_exact():
-    assert fingerprint(_report(10)) == fingerprint(_report(10))
-    assert fingerprint(_report(10)) != fingerprint(_report(11))
-
-
-def test_fingerprint_of_reportless_object_is_empty():
-    assert fingerprint({"numbers": [1, 2, 3]}) == []
-
-
 # -- the full-result digest --------------------------------------------------------
 
 
 def test_digest_is_exact_and_covers_every_field():
-    assert _digest(_report(10)) == _digest(_report(10))
-    assert _digest(_report(10)) != _digest(_report(11))
-    assert _digest({"x": [0.1]}) != _digest({"x": [math.nextafter(0.1, 1)]})
-    assert _digest({"x": 1}) != _digest({"y": 1})
-    assert _digest([1, 2]) != _digest([2, 1])
+    assert result_digest(_report(10)) == result_digest(_report(10))
+    assert result_digest(_report(10)) != result_digest(_report(11))
+    assert result_digest({"x": [0.1]}) != \
+        result_digest({"x": [math.nextafter(0.1, 1)]})
+    assert result_digest({"x": 1}) != result_digest({"y": 1})
+    assert result_digest([1, 2]) != result_digest([2, 1])
+
+
+def test_fingerprint_is_exact():
+    """A Report's digest is its fingerprint: equal Reports agree, and a
+    change to any one field, however small, tells them apart."""
+    base = _report(10)
+    assert result_digest(base) == result_digest(_report(10))
+    for name, value in (("label", "s"), ("runtime_cycles", 11),
+                        ("tck_ns", math.nextafter(0.75, 1)),
+                        ("energy_comm_nj", 2.5), ("mem_requests", 6),
+                        ("extra", {"k": 1.0})):
+        changed = dataclasses.replace(base, **{name: value})
+        assert result_digest(changed) != result_digest(base), name
+
+
+def test_digest_reaches_nested_reports():
+    nested = {"a": [_report(10, "x")], "b": (_report(20, "y"),)}
+    changed = {"a": [_report(10, "x")], "b": (_report(21, "y"),)}
+    assert result_digest(nested) != result_digest(changed)
 
 
 def test_digest_reads_numpy_floats_as_python_floats():
     np = pytest.importorskip("numpy")
-    assert _digest([np.float64(0.1)]) == _digest([0.1])
+    assert result_digest([np.float64(0.1)]) == result_digest([0.1])
 
 
 @pytest.mark.parametrize("name, empty", [
@@ -76,12 +78,11 @@ def test_digest_reads_numpy_floats_as_python_floats():
     ("fig17", Fig17Result({}, {}, {})),
 ])
 def test_reportless_figures_have_content_digests(name, empty):
-    """fig13 and fig17 publish no Report, so a fingerprint comparison of
-    them is vacuous; the digest must still see their contents."""
+    """fig13 and fig17 publish no Report; the digest must still see
+    their contents."""
     result = BENCH_FIGURES[name](ExperimentScale.quick(),
                                  runner=ParallelSweepRunner(jobs=1))
-    assert fingerprint(result) == fingerprint(empty) == []
-    assert _digest(result) != _digest(empty)
+    assert result_digest(result) != result_digest(empty)
 
 
 # -- verifier mechanics ------------------------------------------------------------
@@ -185,7 +186,7 @@ def test_run_bench_writes_verified_baseline(tmp_path):
     assert entry["verified_identical"] is True
     reference = BENCH_FIGURES["fig13"](ExperimentScale.quick(),
                                        runner=ParallelSweepRunner(jobs=1))
-    assert entry["digest"] == _digest(reference)
+    assert entry["digest"] == result_digest(reference)
 
     first = output.read_text()
     assert json.loads(first) == payload

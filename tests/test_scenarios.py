@@ -13,7 +13,7 @@ from repro.experiments.scenarios import (
     run_scenario,
     scenario_names,
 )
-from repro.perf.harness import fingerprint
+from tests.conftest import walk_reports
 
 ensure_registered()
 
@@ -82,9 +82,9 @@ class TestEndToEnd:
         for name, result in quick_results.items():
             if name in REPORTLESS:
                 continue
-            reports = fingerprint(result)
+            reports = list(walk_reports(result))
             assert reports, f"{name} produced no Reports"
-            assert all(row[4] > 0 for row in reports), (
+            assert all(report.runtime_cycles > 0 for report in reports), (
                 f"{name} produced a zero-cycle report"
             )
 

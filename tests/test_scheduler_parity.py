@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import ExperimentScale, ParallelSweepRunner
-from repro.perf.harness import BENCH_FIGURES, _digest
+from repro.perf import result_digest
+from repro.perf.harness import BENCH_FIGURES
 from repro.sim import (
     SCHEDULERS,
     CalendarScheduler,
@@ -49,7 +50,8 @@ class TestFigureParity:
         monkeypatch.setenv("REPRO_SCHEDULER", "heap")
         heap = BENCH_FIGURES[name](ExperimentScale.quick(),
                                    runner=ParallelSweepRunner(jobs=1))
-        assert _digest(quick_wheel_results[name]) == _digest(heap), (
+        wheel = quick_wheel_results[name]
+        assert result_digest(wheel) == result_digest(heap), (
             f"{name}: wheel scheduler diverged from the heap"
         )
 

@@ -23,7 +23,7 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import get_scenario
 from repro.obs import TraceSession
 from repro.obs.telemetry import read_ledger, render_status, summarize_ledger
-from repro.perf.harness import _digest
+from repro.perf import result_digest
 
 
 def _tiny_scale() -> ExperimentScale:
@@ -65,7 +65,7 @@ class TestAcrossFigures:
         assert after["misses"] - before["misses"] == 9
         fresh = get_scenario("fig17").run(scale,
                                           runner=ParallelSweepRunner(jobs=1))
-        assert _digest(memoized) == _digest(fresh)
+        assert result_digest(memoized) == result_digest(fresh)
 
     def test_separately_generated_workloads_hit(self):
         scale = _tiny_scale()
@@ -98,7 +98,7 @@ class TestCopies:
         with active_step_memo(memo):
             first = run_step_sweep("beacon-d", Algorithm.FM_SEEDING, workload,
                                    scale, with_ideal=False)
-            pristine = _digest(first)
+            pristine = result_digest(first)
             first.steps[0].report.extra["tampered"] = 1.0
             first.steps[0].report.runtime_cycles = 1
             second = run_step_sweep("beacon-d", Algorithm.FM_SEEDING,
@@ -106,7 +106,7 @@ class TestCopies:
             third = run_step_sweep("beacon-d", Algorithm.FM_SEEDING,
                                    workload, scale, with_ideal=False)
         assert memo.hits == 2 * _ladder_length()
-        assert _digest(second) == pristine
+        assert result_digest(second) == pristine
         second.steps[0].report.extra["tampered"] = 2.0
         assert "tampered" not in third.steps[0].report.extra
         assert second.steps[0].report is not third.steps[0].report
@@ -151,7 +151,7 @@ class TestBypass:
             again = pool.run(jobs())
         if not pool.last_run_parallel:
             pytest.skip("no process pool in this environment")
-        assert _digest(pooled) == _digest(serial) == _digest(again)
+        assert result_digest(pooled) == result_digest(serial) == result_digest(again)
         assert pool.step_memo.stats() == {"hits": 0, "misses": 0}
 
     def test_two_runners_never_share_entries(self):

@@ -155,6 +155,42 @@ def test_beacon_beats_cpu(seeding_workload):
     assert beacon.speedup_vs(cpu) > 1.0
 
 
+@pytest.fixture(scope="module")
+def finished_beacon_d(seeding_workload):
+    system = BeaconD(config=CFG, flags=FULL_D)
+    system.run_fm_seeding(seeding_workload)
+    return system
+
+
+def test_full_opt_beacon_d_keeps_requests_local(finished_beacon_d):
+    fractions = [
+        module.stats.get("local_requests") / module.stats.get("mem_requests")
+        for module in finished_beacon_d.ndp_modules
+    ]
+    assert len(fractions) == 2
+    assert sum(fractions) / len(fractions) > 0.5
+
+
+def test_controller_useful_bytes_within_accessed(finished_beacon_d):
+    controllers = finished_beacon_d.pool.controllers
+    assert len(controllers) == 8
+    assert sum(c.stats.get("issued") for c in controllers) > 0
+    for controller in controllers:
+        assert (controller.stats.get("useful_bytes")
+                <= controller.stats.get("bytes_accessed")), controller.name
+
+
+def test_link_busy_cycles_within_runtime(finished_beacon_d):
+    runtime = finished_beacon_d.engine.now
+    links = [
+        scope for scope in finished_beacon_d.pool.fabric.stats.walk()
+        if "busy_cycles" in scope.counters
+    ]
+    assert links
+    for scope in links:
+        assert 0 < scope.counters["busy_cycles"] <= runtime, scope.path
+
+
 def test_report_extra_diagnostics(seeding_workload):
     report = BeaconD(config=CFG, flags=FULL_D).run_fm_seeding(seeding_workload)
     assert 0.0 <= report.extra["pe_utilization"] <= 1.0

@@ -1,11 +1,10 @@
 """Tests for the fleet-telemetry layer (repro.obs.telemetry).
 
-Three pieces, three contracts: the metrics registry must snapshot
-deterministically and merge worker deltas exactly; the run ledger must
-round-trip every lifecycle event and summarize a campaign correctly; and
-the progress line must stay off stdout.  The capstone test proves
-telemetry is observational: a real sweep's full-result digest is
-bit-identical with the ledger and progress line enabled.
+Two pieces, two contracts: the run ledger must round-trip every
+lifecycle event and summarize a campaign correctly, and the progress
+line must stay off stdout.  The capstone test proves telemetry is
+observational: a real sweep's full-result digest is bit-identical with
+the ledger and progress line enabled.
 """
 
 import io
@@ -18,13 +17,12 @@ import pytest
 from repro.core.config import Algorithm
 from repro.experiments import ExperimentScale, ParallelSweepRunner, SweepJob
 from repro.experiments.runner import run_step_sweep
+from repro.experiments.scenarios import get_scenario
 from repro.obs.telemetry import (
     LEDGER_EVENTS,
     LedgerError,
     LedgerWriter,
-    MetricsRegistry,
     ProgressLine,
-    diff_snapshots,
     param_digest,
     read_ledger,
     render_status,
@@ -32,104 +30,7 @@ from repro.obs.telemetry import (
     traceback_digest,
     worker_id,
 )
-from repro.perf.harness import _digest
-
-
-# -- metrics registry --------------------------------------------------------------
-
-
-def _loaded_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    jobs = registry.counter("jobs_total", "jobs by status", labels=("status",))
-    jobs.labels(status="finished").inc(3)
-    jobs.labels(status="failed").inc()
-    registry.gauge("depth", "queue depth").set(7)
-    hist = registry.histogram("wall_s", "wall time", buckets=(1.0, 10.0))
-    for value in (0.5, 0.6, 5.0, 50.0):
-        hist.observe(value)
-    return registry
-
-
-def test_snapshot_is_deterministic_and_sorted():
-    a, b = _loaded_registry(), _loaded_registry()
-    assert a.snapshot() == b.snapshot()
-    assert a.to_json() == b.to_json()
-    names = [(row["name"], tuple(tuple(p) for p in row["labels"]))
-             for row in a.snapshot()]
-    assert names == sorted(names)
-
-
-def test_counter_labels_and_rejections():
-    registry = MetricsRegistry()
-    counter = registry.counter("c", "help", labels=("kind",))
-    counter.labels(kind="x").inc(2)
-    assert counter.labels(kind="x").value == 2
-    with pytest.raises(ValueError, match="label mismatch"):
-        counter.labels(wrong="x")
-    with pytest.raises(ValueError, match="counters only go up"):
-        counter.labels(kind="x").inc(-1)
-    # Re-registration with a different shape must raise, same shape returns
-    # the same instrument.
-    assert registry.counter("c", "help", labels=("kind",)) is counter
-    with pytest.raises(ValueError, match="already registered"):
-        registry.gauge("c", "help")
-    with pytest.raises(ValueError, match="labels"):
-        registry.counter("c", "help", labels=("other",))
-
-
-def test_histogram_buckets_are_cumulative_in_prometheus_text():
-    registry = _loaded_registry()
-    text = registry.render_prometheus()
-    assert "# TYPE jobs_total counter" in text
-    assert "# TYPE wall_s histogram" in text
-    assert 'jobs_total{status="finished"} 3' in text
-    assert 'wall_s_bucket{le="1"} 2' in text
-    assert 'wall_s_bucket{le="10"} 3' in text
-    assert 'wall_s_bucket{le="+Inf"} 4' in text
-    assert "wall_s_count 4" in text
-    assert "wall_s_sum 56.1" in text
-
-
-def test_merge_snapshot_sums_counters_and_histograms():
-    parent = _loaded_registry()
-    worker = _loaded_registry()
-    parent.merge_snapshot(worker.snapshot())
-    merged = {
-        (row["name"], tuple(tuple(p) for p in row["labels"])): row
-        for row in parent.snapshot()
-    }
-    assert merged[("jobs_total", (("status", "finished"),))]["value"] == 6
-    assert merged[("wall_s", ())]["count"] == 8
-    assert merged[("wall_s", ())]["sum"] == pytest.approx(112.2)
-    # Gauges are levels: last writer wins, not a sum.
-    assert merged[("depth", ())]["value"] == 7
-
-
-def test_label_declaration_order_is_irrelevant():
-    """Series keys sort label names, so two declaration orders — or a
-    worker delta, which always arrives sorted — must resolve to one
-    instrument instead of raising a label mismatch on merge."""
-    registry = MetricsRegistry()
-    gauge = registry.gauge("g", "h", labels=("backend", "tenants", "arrival"))
-    gauge.labels(backend="d", tenants="3", arrival="poisson").set(5)
-    assert registry.gauge("g", "h",
-                          labels=("arrival", "backend", "tenants")) is gauge
-    # The full fork-inherited-gauge path: merge a snapshot of this
-    # registry (sorted label names) back into itself.
-    registry.merge_snapshot(registry.snapshot())
-    (row,) = registry.snapshot()
-    assert row["value"] == 5
-
-
-def test_diff_snapshots_ships_only_activity():
-    registry = MetricsRegistry()
-    counter = registry.counter("jobs", "h")
-    counter.inc(2)
-    before = registry.snapshot()
-    assert diff_snapshots(before, registry.snapshot()) == []
-    counter.inc(3)
-    (delta,) = diff_snapshots(before, registry.snapshot())
-    assert delta["value"] == 3
+from repro.perf import result_digest
 
 
 # -- run ledger --------------------------------------------------------------------
@@ -320,10 +221,32 @@ def test_fingerprint_identical_with_telemetry_enabled(tmp_path):
     )
     instrumented = instrumented_runner.run([_seeding_job(scale)],
                                            label="verify")
-    assert _digest(bare) == _digest(instrumented)
+    assert result_digest(bare) == result_digest(instrumented)
     # ...and the telemetry actually recorded the run.
     events = read_ledger(str(tmp_path / "runs.jsonl"))
     finished = [e for e in events if e["event"] == "finished"]
     assert len(finished) == 1
     assert finished[0]["fingerprint"]
     assert finished[0]["wall_s"] > 0
+
+
+def test_ledger_fingerprint_is_each_jobs_result_digest(tmp_path):
+    """fig13's two jobs return chip profiles, not Reports; the ledger still
+    tells them apart because ``fingerprint`` is the job's full-result
+    digest, and a pooled run logs the same values as a serial one."""
+    spec = get_scenario("fig13")
+    scale = ExperimentScale.quick()
+    logged = {}
+    for jobs in (1, 2):
+        path = str(tmp_path / f"jobs{jobs}.jsonl")
+        runner = ParallelSweepRunner(jobs=jobs, ledger_path=path)
+        results = runner.run(spec.build_jobs(scale), label=spec.name)
+        logged[jobs] = {
+            event["job"]: event["fingerprint"]
+            for event in read_ledger(path) if event["event"] == "finished"
+        }
+        assert logged[jobs] == {
+            key: result_digest(result) for key, result in results.items()
+        }
+    assert logged[1]["without"] != logged[1]["with"]
+    assert logged[1] == logged[2]

@@ -18,7 +18,7 @@ from repro.experiments.tenants import (
     percentile_cycles,
     run_serving_point,
 )
-from repro.perf.harness import fingerprint
+from repro.perf import result_digest
 
 
 def _rng():
@@ -199,7 +199,7 @@ class TestServingPoint:
         twin = run_serving_point("beacon-d", self.TENANTS,
                                  scale=ExperimentScale.quick(), seed=11)
         assert twin == point
-        assert fingerprint(twin) == fingerprint(point)
+        assert result_digest(twin) == result_digest(point)
 
     def test_seed_changes_the_point(self, point):
         other = run_serving_point("beacon-d", self.TENANTS,
