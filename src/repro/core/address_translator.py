@@ -22,11 +22,13 @@ class AddressTranslator(Component):
         super().__init__(engine, name, parent)
         self.region_map = region_map
         self.node = node
+        self._counters = self.stats.counters
 
     def translate(self, request: MemoryRequest) -> MemoryRequest:
         """Fill in ``dimm_index`` + ``coord``; returns the same request."""
         self.region_map.translate(request, requester=self.node)
-        self.stats.add("translations", 1)
+        counters = self._counters
+        counters["translations"] += 1
         if request.data_class.fine_grained:
-            self.stats.add("fine_grained", 1)
+            counters["fine_grained"] += 1
         return request

@@ -49,6 +49,7 @@ class NdpModule(Component):
         self.scheduler = TaskScheduler(engine, "sched", self)
         self.translator = AddressTranslator(engine, "xlat", self, region_map, node)
         self.scheduler.on_ready = self._dispatch
+        self._counters = self.stats.counters
         self.tasks_completed = 0
         #: System-level hook fired on every task completion.
         self.on_task_done: Optional[Callable[[Task], None]] = None
@@ -87,25 +88,24 @@ class NdpModule(Component):
 
     def _dispatch_now(self) -> None:
         self._dispatch_pending = False
-        while self.scheduler.ready_count and self.pes.acquire():
-            task = self.scheduler.pop_ready()
-            assert task is not None
-            self._advance(task)
+        ready = self.scheduler.ready
+        acquire = self.pes.acquire
+        while ready and acquire():
+            self._advance(ready.popleft())
 
     def _bind_task(self, task: Task) -> None:
         """Cache this module's resume/operand callbacks on the task.
 
         A task advances through thousands of compute resumptions and
         operand returns; binding two partials once per (task, module) pair
-        replaces a closure allocation per event.  Migration hands tasks to
-        a different module, so the owner is re-checked at use sites.
+        replaces a closure allocation per event.  The operand callback is
+        the Task Scheduler's own ``operand_ready``, called with the
+        completed request.  Migration hands tasks to a different module,
+        so the owner is re-checked at use sites.
         """
         task.cb_owner = self
         task.resume_cb = partial(self._advance, task)
-        task.operand_cb = partial(self._operand_ready, task)
-
-    def _operand_ready(self, task: Task, _request: MemoryRequest) -> None:
-        self.scheduler.operand_ready(task)
+        task.operand_cb = partial(self.scheduler.operand_ready, task)
 
     def _advance(self, task: Task) -> None:
         """Run the task on its PE until it parks or finishes."""
@@ -209,8 +209,8 @@ class NdpModule(Component):
         if task.cb_owner is not self:
             self._bind_task(task)
         operand_cb = task.operand_cb
-        stat_add = self.stats.add
-        stat_add("mem_requests", len(accesses))
+        counters = self._counters
+        counters["mem_requests"] += len(accesses)
         translate = self.translator.translate
         pool = self.pool
         dimm_nodes = pool.dimm_nodes
@@ -234,7 +234,7 @@ class NdpModule(Component):
                 local += 1
             pool.access(request, node)
         if local:
-            stat_add("local_requests", local)
+            counters["local_requests"] += local
 
     def _complete(self, task: Task) -> None:
         task.finished_at = self.now

@@ -25,10 +25,18 @@ class PePool(Component):
         self.busy = 0
         self._busy_area = 0.0       # sum of (busy PEs x cycles), for utilization
         self._last_change = 0
+        self._counters = self.stats.counters
+        #: ``compute_cycles.<algorithm>`` counter keys, built once per
+        #: algorithm instead of once per compute step.
+        self._compute_keys = {
+            algorithm: f"compute_cycles.{algorithm.value}"
+            for algorithm in Algorithm
+        }
 
     def _account(self) -> None:
-        self._busy_area += self.busy * (self.now - self._last_change)
-        self._last_change = self.now
+        now = self.engine.now
+        self._busy_area += self.busy * (now - self._last_change)
+        self._last_change = now
 
     @property
     def available(self) -> int:
@@ -40,7 +48,8 @@ class PePool(Component):
             return False
         self._account()
         self.busy += 1
-        self._trace_occupancy()
+        if self.engine.tracer:
+            self._trace_occupancy()
         return True
 
     def release(self) -> None:
@@ -48,25 +57,27 @@ class PePool(Component):
             raise RuntimeError(f"{self.path}: release without acquire")
         self._account()
         self.busy -= 1
-        self._trace_occupancy()
+        if self.engine.tracer:
+            self._trace_occupancy()
 
     def _trace_occupancy(self) -> None:
         """Emit the busy-PE counter track (a live utilization timeline).
 
-        ``total`` rides along so the profiler can turn the track into a
-        utilization fraction without out-of-band knowledge of the pool
-        size (and Perfetto stacks the two series into a fill gauge).
+        Called only when a tracer is installed.  ``total`` rides along so
+        the profiler can turn the track into a utilization fraction without
+        out-of-band knowledge of the pool size (and Perfetto stacks the two
+        series into a fill gauge).
         """
-        tracer = self.engine.tracer
-        if tracer:
-            tracer.counter("ndp", "pes_busy", self.path, self.now,
-                           {"busy": self.busy, "total": self.num_pes},
-                           pid=self.engine.trace_id)
+        engine = self.engine
+        engine.tracer.counter("ndp", "pes_busy", self.path, engine.now,
+                              {"busy": self.busy, "total": self.num_pes},
+                              pid=engine.trace_id)
 
     def record_compute(self, algorithm: Algorithm, cycles: int) -> None:
         """Account one compute step (drives the compute-energy term)."""
-        self.stats.add("compute_cycles", cycles)
-        self.stats.add(f"compute_cycles.{algorithm.value}", cycles)
+        counters = self._counters
+        counters["compute_cycles"] += cycles
+        counters[self._compute_keys[algorithm]] += cycles
 
     @property
     def total_compute_cycles(self) -> float:

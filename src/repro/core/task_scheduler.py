@@ -20,8 +20,11 @@ class TaskScheduler(Component):
 
     def __init__(self, engine, name: str, parent) -> None:
         super().__init__(engine, name, parent)
-        self._ready: Deque[Task] = deque()
+        #: The out-going queue, FIFO.  Tasks enter through
+        #: :meth:`push_ready`; the owning module's dispatcher pops them.
+        self.ready: Deque[Task] = deque()
         self._waiting: Set[int] = set()
+        self._counters = self.stats.counters
         #: Invoked whenever a task becomes ready (the dispatcher hook).
         self.on_ready: Optional[Callable[[], None]] = None
 
@@ -29,8 +32,8 @@ class TaskScheduler(Component):
 
     def push_ready(self, task: Task) -> None:
         """A new or resumed task is ready for a PE."""
-        self._ready.append(task)
-        self.stats.add("ready_pushes", 1)
+        self.ready.append(task)
+        self._counters["ready_pushes"] += 1
         tracer = self.engine.tracer
         if tracer and tracer.wants("ndp"):
             # Marks the park -> ready boundary: the latency profiler splits
@@ -39,19 +42,10 @@ class TaskScheduler(Component):
             tracer.instant(
                 "ndp", "ready", self.path, self.now,
                 pid=self.engine.trace_id,
-                args={"task": task.task_id, "queue": len(self._ready)},
+                args={"task": task.task_id, "queue": len(self.ready)},
             )
         if self.on_ready is not None:
             self.on_ready()
-
-    def pop_ready(self) -> Optional[Task]:
-        if not self._ready:
-            return None
-        return self._ready.popleft()
-
-    @property
-    def ready_count(self) -> int:
-        return len(self._ready)
 
     # -- incoming queue / scoreboard ---------------------------------------------------
 
@@ -61,11 +55,15 @@ class TaskScheduler(Component):
             raise ValueError("operands must be positive")
         task.waiting_operands = operands
         self._waiting.add(task.task_id)
-        self.stats.add("parked", 1)
+        self._counters["parked"] += 1
 
-    def operand_ready(self, task: Task) -> None:
+    def operand_ready(self, task: Task, _request: object = None) -> None:
         """One of the task's operands arrived ("the data back with local
-        destinations are forwarded to the Task Schedulers")."""
+        destinations are forwarded to the Task Schedulers").
+
+        ``_request`` is the completed request when this is bound as a
+        request's ``on_complete`` callback; it is not needed here.
+        """
         if task.task_id not in self._waiting:
             raise RuntimeError(f"task {task.task_id} is not parked")
         task.waiting_operands -= 1
@@ -79,4 +77,4 @@ class TaskScheduler(Component):
 
     @property
     def idle(self) -> bool:
-        return not self._ready and not self._waiting
+        return not self.ready and not self._waiting

@@ -36,7 +36,7 @@ class Host(Component):
 
     def record_detour(self) -> None:
         """Account one coherence-detour crossing (for the Fig. 9 analysis)."""
-        self.stats.add("detour_messages", 1)
+        self.stats.counters["detour_messages"] += 1
         tracer = self.engine.tracer
         if tracer:
             tracer.instant("cxl", "host_detour", self.path, self.now,

@@ -121,6 +121,12 @@ class PackedChannel(Component):
         self._latency = params.latency_cycles
         self._pj = params.pj_per_byte
         self._ideal = params.ideal
+        # The one-flit idle-link send's constants: its serialization
+        # cycles, its energy (the same float ``wire * pj_per_byte`` gives)
+        # and its arrival offset from the send cycle.
+        self._flit_serialize = int(-(-FLIT_BYTES // self._bpc))
+        self._flit_pj = FLIT_BYTES * self._pj
+        self._flit_arrive = self._flit_serialize + self._latency
         #: The link's counters: shared by every channel on the link.
         self._wire = link.stats.counters
         self._sched = engine.scheduler
@@ -143,19 +149,14 @@ class PackedChannel(Component):
             wire, deliver, tag = self._take_batch()
         else:
             message.created_at = now
-            # Inlined counter updates (one per send/flush, ~1M sends per
-            # figure); lazily created keys, same accounting as
-            # ``stats.add``.
+            # Counters are zero-default dicts, updated in place (~1M sends
+            # per figure).
             counters = self._counters
-            if "payload_bytes" not in counters:
-                counters["payload_bytes"] = 0.0
             counters["payload_bytes"] += message.payload_bytes
             packed_bytes = message.packed_wire_bytes
             if not self.packing or packed_bytes >= FLIT_BYTES:
                 # Large payloads gain nothing from packing; ship them
                 # directly.
-                if "direct_messages" not in counters:
-                    counters["direct_messages"] = 0.0
                 counters["direct_messages"] += 1
                 if tracer:
                     tag = _wire_tag([message])
@@ -164,16 +165,23 @@ class PackedChannel(Component):
             elif (not self._buffer and self.link.free_at <= now
                   and tracer is None):
                 # Idle link, empty buffer: this message would flush alone
-                # this cycle anyway (one sub-flit payload -> one flit);
-                # skip the buffer round-trip.  Kept off under tracing so
-                # the flit_flush instant stream is unchanged.
-                if "packed_flits" not in counters:
-                    counters["packed_flits"] = 0.0
-                    counters["packed_messages"] = 0.0
+                # this cycle anyway (one sub-flit payload -> one flit), so
+                # it goes straight onto the wire from the per-channel flit
+                # constants and returns.  Kept off under tracing so the
+                # flit_flush instant stream is unchanged.
                 counters["packed_flits"] += 1
                 counters["packed_messages"] += 1
-                wire = FLIT_BYTES
-                deliver = message.deliver
+                link_counters = self._wire
+                link_counters["messages"] += 1
+                link_counters["wire_bytes"] += FLIT_BYTES
+                link_counters["energy_pj"] += self._flit_pj
+                if self._ideal:
+                    self._sched.push(now, message.deliver)
+                    return
+                self.link.free_at = now + self._flit_serialize
+                link_counters["busy_cycles"] += self._flit_serialize
+                self._sched.push(now + self._flit_arrive, message.deliver)
+                return
             else:
                 self._buffer.append(message)
                 self._buffer_bytes += packed_bytes
@@ -188,14 +196,9 @@ class PackedChannel(Component):
                 # co-travellers would only add latency.
                 wire, deliver, tag = self._take_batch()
         # -- onto the wire: ``wire`` bytes, ``deliver`` fires at arrival --
-        # Link counter updates inlined (four per transfer).  Keys are
-        # created lazily on the first transfer, exactly as ``stats.add``
-        # would, so an idle link still reports no counters.
+        # Link counters (four per transfer) are created on the first
+        # transfer, so an idle link still reports no counters.
         counters = self._wire
-        if "messages" not in counters:
-            counters["messages"] = 0.0
-            counters["wire_bytes"] = 0.0
-            counters["energy_pj"] = 0.0
         counters["messages"] += 1
         counters["wire_bytes"] += wire
         counters["energy_pj"] += wire * self._pj
@@ -210,8 +213,6 @@ class PackedChannel(Component):
         free_at = start + serialize
         link.free_at = free_at
         arrive = free_at + self._latency
-        if "busy_cycles" not in counters:
-            counters["busy_cycles"] = 0.0
         counters["busy_cycles"] += serialize
         if tracer and tracer.wants("cxl"):
             args: Dict[str, object] = {
@@ -262,30 +263,30 @@ class PackedChannel(Component):
             self._flush_handle = None
         wire = -(-batch_bytes // FLIT_BYTES) * FLIT_BYTES
         counters = self._counters
-        if "packed_flits" not in counters:
-            counters["packed_flits"] = 0.0
-            counters["packed_messages"] = 0.0
         counters["packed_flits"] += wire // FLIT_BYTES
         counters["packed_messages"] += len(batch)
-        tracer = self.engine.tracer
+        engine = self.engine
+        tracer = engine.tracer
         tag = None
         if tracer:
+            now = engine.now
             tag = _wire_tag(batch)
             args: Dict[str, object] = {
                 "messages": len(batch), "payload_bytes": batch_bytes,
                 "wire_bytes": wire,
                 # Per-request buffering time (cycles spent waiting for
                 # co-travellers), aligned index-for-index with ``reqs``.
+                # ``send`` stamps ``created_at`` before buffering.
                 "waits": [
-                    self.now - (m.created_at or self.now)
+                    now - m.created_at
                     for m in batch
                     if getattr(m.cargo, "req_id", None) is not None
                 ],
             }
             args.update(tag)
             tracer.instant(
-                "cxl", "flit_flush", self.path, self.now,
-                pid=self.engine.trace_id, args=args,
+                "cxl", "flit_flush", self.path, now,
+                pid=engine.trace_id, args=args,
             )
         if len(batch) == 1:
             # Idle-link sends flush immediately, so single-message batches
@@ -303,10 +304,3 @@ class PackedChannel(Component):
     @property
     def pending(self) -> int:
         return len(self._buffer)
-
-    def packing_efficiency(self) -> float:
-        """Useful payload bytes per wire byte shipped by this channel."""
-        wire = self.link.stats.get("wire_bytes")
-        if wire == 0:
-            return 0.0
-        return self.stats.get("payload_bytes") / wire

@@ -51,7 +51,7 @@ class CxlSwitch(Component):
 
     def record_turnaround(self) -> None:
         """Account one in-switch (host-avoiding) turn-around."""
-        self.stats.add("in_switch_turnarounds", 1)
+        self.stats.counters["in_switch_turnarounds"] += 1
         tracer = self.engine.tracer
         if tracer:
             tracer.instant("cxl", "turnaround", self.path, self.now,

@@ -327,7 +327,9 @@ class _DramFlight(_AccessFlight):
     def deliver(self) -> None:
         request = self.request
         request.on_complete = None
-        self.pool._trace_req_end(request)
+        pool = self.pool
+        if pool.engine.tracer:
+            pool._trace_req_end(request)
         self.on_done(request)
 
 
@@ -455,15 +457,18 @@ class MemoryPool(Component):
         self._atomic_engines[node_name] = engine_obj
 
     # -- request-lifecycle tracing ------------------------------------------------------
+    # Call sites guard these with ``if engine.tracer:``, so an untraced
+    # request pays one attribute read per site and no frame.
 
     def _trace_req_begin(self, request: MemoryRequest,
                          src_node: str, dst_node: str) -> None:
         """Open the async ``req`` span anchoring this request's lifetime."""
-        tracer = self.engine.tracer
-        if tracer and tracer.wants("req"):
+        engine = self.engine
+        tracer = engine.tracer
+        if tracer.wants("req"):
             tracer.async_begin(
-                "req", "mem_req", self.path, self.now, request.req_id,
-                pid=self.engine.trace_id,
+                "req", "mem_req", self.path, engine.now, request.req_id,
+                pid=engine.trace_id,
                 args={"task": request.task_id, "src": src_node,
                       "dst": dst_node, "kind": request.kind.value,
                       "size": request.size},
@@ -471,10 +476,11 @@ class MemoryPool(Component):
 
     def _trace_req_end(self, request: MemoryRequest) -> None:
         """Close the async ``req`` span opened by :meth:`_trace_req_begin`."""
-        tracer = self.engine.tracer
-        if tracer and tracer.wants("req"):
-            tracer.async_end("req", "mem_req", self.path, self.now,
-                             request.req_id, pid=self.engine.trace_id)
+        engine = self.engine
+        tracer = engine.tracer
+        if tracer.wants("req"):
+            tracer.async_end("req", "mem_req", self.path, engine.now,
+                             request.req_id, pid=engine.trace_id)
 
     # -- the access path ----------------------------------------------------------------
 
@@ -488,9 +494,10 @@ class MemoryPool(Component):
         if request.dimm_index is None or request.coord is None:
             raise ValueError("request must be translated before access()")
         if request.issued_at is None:
-            request.issued_at = self.now
+            request.issued_at = self.engine.now
         dst_node = self.dimm_nodes[request.dimm_index]
-        self._trace_req_begin(request, src_node, dst_node)
+        if self.engine.tracer:
+            self._trace_req_begin(request, src_node, dst_node)
 
         if request.kind is AccessKind.ATOMIC_RMW:
             if src_node != dst_node:
@@ -519,8 +526,10 @@ class MemoryPool(Component):
 
     def _finish(self, request: MemoryRequest, callback) -> None:
         request.on_complete = callback
-        request.completed_at = self.now
-        self._trace_req_end(request)
+        engine = self.engine
+        request.completed_at = engine.now
+        if engine.tracer:
+            self._trace_req_end(request)
         if callback is not None:
             callback(request)
 
@@ -568,6 +577,7 @@ class MemoryPool(Component):
         bias never matters here because the switch owns the DIMM.
         """
         dst_node = self.dimm_nodes[request.dimm_index]
-        self._trace_req_begin(request, src_node, dst_node)
+        if self.engine.tracer:
+            self._trace_req_begin(request, src_node, dst_node)
         self._round_trip(_DramFlight, request, src_node, dst_node, False,
                          on_done)

@@ -28,10 +28,6 @@ class Bank:
     free_at: int = 0
     #: Start cycle of the most recent ACT (enforces tRC).
     last_act_at: int = field(default=-(10 ** 9))
-    activations: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-    row_conflicts: int = 0
 
     def classify(self, row: int, timing: DramTiming, is_write: bool) -> Tuple[int, bool]:
         """Command-phase latency before data for an access to ``row``.
@@ -82,14 +78,7 @@ class Bank:
         """
         finish = start + pre_data_cycles + transfer_cycles
         if needs_activate:
-            self.activations += 1
             self.last_act_at = start if self.open_row is None else start + timing.trp
-            if self.open_row is None:
-                self.row_misses += 1
-            else:
-                self.row_conflicts += 1
             self.open_row = row
-        else:
-            self.row_hits += 1
         self.free_at = finish + (timing.twr if is_write else 0)
         return finish

@@ -70,8 +70,8 @@ class DimmController(Component):
         #: already-scheduled later pass cancels it outright instead of
         #: letting a stale event fire and bail.
         self._wake_handle = None
-        #: The issue path updates four counters per request; it writes the
-        #: scope's dict directly rather than paying a ``stats.add`` call each.
+        #: Per-request counters are written into the scope's zero-default
+        #: dict directly rather than paying a ``stats.add`` call each.
         self._counters = self.stats.counters
         # Per-DIMM constants hoisted out of the issue path (both the
         # timing and geometry dataclasses are frozen for the DIMM's life).
@@ -88,26 +88,30 @@ class DimmController(Component):
         remote requests "wait at the MCs to be issued out" rather than being
         dropped, so callers never need to poll.
         """
-        if request.coord is None:
+        coord = request.coord
+        if coord is None:
             raise ValueError("request must be address-mapped before submission")
-        self.dimm.validate_group(request.coord.chips_per_group)
+        dimm = self.dimm
+        dimm.validate_group(coord.chips_per_group)
+        engine = self.engine
+        now = engine.now
         if request.issued_at is None:
-            request.issued_at = self.engine.now
+            request.issued_at = now
         if request.mc_enqueued_at is None:
-            request.mc_enqueued_at = self.engine.now
-        self.dimm.refresh.notify_activity()
+            request.mc_enqueued_at = now
+        dimm.refresh.notify_activity()
         if len(self.queue) < self.queue_capacity and not self._waiters:
             self.queue.append(request)
-            self.stats.add("accepted", 1)
+            self._counters["accepted"] += 1
             self._wake(0)
         else:
             self._waiters.append(request)
-            self.stats.add("parked", 1)
-            tracer = self.engine.tracer
+            self._counters["parked"] += 1
+            tracer = engine.tracer
             if tracer:
                 tracer.instant(
-                    "dram", "queue_full", self.path, self.engine.now,
-                    pid=self.engine.trace_id,
+                    "dram", "queue_full", self.path, now,
+                    pid=engine.trace_id,
                     args={"waiting": len(self._waiters)},
                 )
 
@@ -172,7 +176,7 @@ class DimmController(Component):
             self._issue(queue.pop(pick), pick_plan)
             while waiters and len(queue) < capacity:
                 queue.append(waiters.popleft())
-                self.stats.add("accepted", 1)
+                self._counters["accepted"] += 1
 
     # -- issue ---------------------------------------------------------------------
 
@@ -214,14 +218,7 @@ class DimmController(Component):
             dimm.energy.on_activate(chips=chips)
         dimm.chip_counters.record(coord.rank, coord.chip_group, chips, bursts)
         dimm.energy.on_burst(chips, bursts, request.is_write)
-        # Inlined counter updates (four per issued request), keys created
-        # lazily on the first issue exactly as ``stats.add`` would.
         counters = self._counters
-        if "issued" not in counters:
-            counters["issued"] = 0.0
-            counters["bursts"] = 0.0
-            counters["bytes_accessed"] = 0.0
-            counters["useful_bytes"] = 0.0
         counters["issued"] += 1
         counters["bursts"] += bursts
         counters["bytes_accessed"] += bursts * group_bytes

@@ -45,13 +45,16 @@ class DramEnergyModel:
     def __init__(self, stats, total_chips: int, tck_ns: float,
                  params: DramEnergyParams = DramEnergyParams()) -> None:
         self.stats = stats
+        #: The per-burst and per-activate sites add into the scope's
+        #: zero-default dict directly (once or twice per DRAM request).
+        self._counters = stats.counters
         self.total_chips = total_chips
         self.tck_ns = tck_ns
         self.params = params
 
     def on_activate(self, chips: int) -> None:
         """An ACT(+eventual PRE) on ``chips`` chips of one rank."""
-        self.stats.add("energy_act_nj", self.params.act_pre_nj_per_chip * chips)
+        self._counters["energy_act_nj"] += self.params.act_pre_nj_per_chip * chips
 
     def on_burst(self, chips: int, bursts: int, is_write: bool) -> None:
         """``bursts`` BL8 data bursts across ``chips`` chips."""
@@ -60,7 +63,7 @@ class DramEnergyModel:
             if is_write
             else self.params.read_burst_nj_per_chip
         )
-        self.stats.add("energy_rw_nj", per * chips * bursts)
+        self._counters["energy_rw_nj"] += per * chips * bursts
 
     def finalize(self, end_cycle: int) -> None:
         """Add background energy for the whole run (idempotent via ``set``)."""

@@ -208,13 +208,15 @@ class RegionMap:
 
     def find(self, addr: int) -> Region:
         """Region containing ``addr`` (binary search)."""
-        lo, hi = 0, len(self._regions) - 1
+        regions = self._regions
+        lo, hi = 0, len(regions) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            region = self._regions[mid]
-            if addr < region.base:
+            region = regions[mid]
+            base = region.base
+            if addr < base:
                 hi = mid - 1
-            elif addr >= region.end():
+            elif addr >= base + region.size:  # region.end(), inlined
                 lo = mid + 1
             else:
                 return region

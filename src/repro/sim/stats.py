@@ -2,7 +2,11 @@
 
 A :class:`StatScope` is a node in a tree of named scopes.  Each scope holds
 named counters (integers/floats), mostly incremented with :meth:`add` and
-occasionally overwritten with :meth:`set`.  The experiment harness
+occasionally overwritten with :meth:`set`.  ``counters`` is a
+``defaultdict(float)``, so a hot path may increment ``counters[key]``
+directly: a missing key starts at ``0.0`` and is created on first write,
+in first-write order.  Readers use ``get``/``in``/``items()``, never a
+subscript, so reading a counter never creates it.  The experiment harness
 aggregates counters across subtrees with :meth:`StatScope.total`, which is
 how, for example, total DRAM energy is summed over every bank of every
 DIMM in a pool.
@@ -10,7 +14,8 @@ DIMM in a pool.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from collections import defaultdict
+from typing import DefaultDict, Dict, Iterator, Optional
 
 
 class StatScope:
@@ -19,7 +24,7 @@ class StatScope:
     def __init__(self, name: str, parent: Optional["StatScope"] = None) -> None:
         self.name = name
         self.parent = parent
-        self.counters: Dict[str, float] = {}
+        self.counters: DefaultDict[str, float] = defaultdict(float)
         self.children: Dict[str, "StatScope"] = {}
 
     # -- tree structure ----------------------------------------------------
@@ -45,16 +50,12 @@ class StatScope:
     # -- counters ----------------------------------------------------------
 
     def add(self, key: str, amount: float = 1.0) -> None:
-        """Increment counter ``key`` by ``amount``."""
-        # Hottest method in the simulator (millions of calls per figure);
-        # the try/except beats dict.get because existing keys — the common
-        # case by far — cost a single subscript.  ``amount + 0.0`` keeps
-        # first-write values float, matching the historical ``0.0 + amount``.
-        counters = self.counters
-        try:
-            counters[key] += amount
-        except KeyError:
-            counters[key] = amount + 0.0
+        """Increment counter ``key`` by ``amount``.
+
+        A first write stores ``0.0 + amount``, a float.  Per-request sites
+        skip this frame and write ``stats.counters[key] += amount`` themselves.
+        """
+        self.counters[key] += amount
 
     def get(self, key: str, default: float = 0.0) -> float:
         return self.counters.get(key, default)
@@ -69,7 +70,11 @@ class StatScope:
     # -- reporting -----------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
-        """Nested plain-dict snapshot (for tests and JSON dumps)."""
+        """Nested plain-dict snapshot (for tests and JSON dumps).
+
+        Counters are copied into a plain ``dict``, so subscripting the
+        snapshot raises ``KeyError`` for a counter that was never written.
+        """
         out: Dict[str, object] = dict(self.counters)
         for name, child in self.children.items():
             out[name] = child.as_dict()

@@ -145,9 +145,7 @@ class TestTaskScheduler:
         t1, t2 = self._task(), self._task()
         sched.push_ready(t1)
         sched.push_ready(t2)
-        assert sched.pop_ready() is t1
-        assert sched.pop_ready() is t2
-        assert sched.pop_ready() is None
+        assert list(sched.ready) == [t1, t2]
 
     def test_operand_scoreboard(self):
         sched = self._sched()
@@ -156,9 +154,9 @@ class TestTaskScheduler:
         assert sched.waiting_count == 1
         sched.operand_ready(task)
         sched.operand_ready(task)
-        assert sched.ready_count == 0
+        assert not sched.ready
         sched.operand_ready(task)
-        assert sched.ready_count == 1
+        assert list(sched.ready) == [task]
         assert sched.waiting_count == 0
 
     def test_on_ready_hook(self):

@@ -15,6 +15,7 @@ from repro.cxl import (
 from repro.cxl.topology import MemoryPool
 from repro.dram import ChipInterleaveMapping, DimmGeometry, DimmKind, MemoryRequest
 from repro.dram.request import AccessKind
+from repro.obs import TraceRecorder
 from repro.sim import Engine
 from repro.sim.component import Component
 
@@ -175,7 +176,32 @@ class TestPackedChannel:
         for _ in range(16):
             chan.send(self._msg(8, None))
         engine.run()
-        assert 0.0 < chan.packing_efficiency() <= 1.0
+        # The measured efficiency is the report-level useful / wire bytes;
+        # here: every payload byte is counted once, and packing puts the
+        # 16 messages on fewer wire bytes than 16 whole flits.
+        assert chan.stats.get("payload_bytes") == 128
+        assert link.stats.get("wire_bytes") < 16 * FLIT_BYTES
+
+    def test_flush_waits_count_from_a_cycle_zero_send(self):
+        engine, link, chan = self._channel(packing=True)
+        tracer = TraceRecorder(tck_ns=1000.0)  # 1 cycle == 1 us of ``ts``
+        engine.tracer = tracer
+        # A direct 128 B send at cycle 0 keeps the link busy ...
+        chan.send(self._msg(128, None))
+        assert link.free_at > 0
+        # ... so a small request message sent at cycle 0 is buffered.
+        request = MemoryRequest(addr=0, size=8)
+        chan.send(Message(MessageKind.MEM_REQUEST, payload_bytes=8,
+                          destination="d", cargo=request))
+        assert chan.pending == 1
+        engine.run()
+        flushes = [event for event in tracer.events
+                   if event["name"] == "flit_flush"]
+        assert len(flushes) == 1
+        flush_cycle = int(flushes[0]["ts"])
+        assert flush_cycle == chan.flush_timeout
+        assert flushes[0]["args"]["reqs"] == [request.req_id]
+        assert flushes[0]["args"]["waits"] == [flush_cycle]
 
 
 def build_pool(comm):

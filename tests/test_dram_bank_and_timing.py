@@ -64,23 +64,38 @@ class TestBankCommit:
     def test_commit_opens_row_and_counts(self):
         bank = Bank()
         pre, act = bank.classify(7, T, False)
+        assert (pre, act) == (T.trcd + T.tcas, True)  # a miss activates
         finish = bank.commit(0, 7, pre, 4, act, T, False)
         assert bank.open_row == 7
-        assert bank.activations == 1
-        assert bank.row_misses == 1
+        assert bank.last_act_at == 0
         assert finish == pre + 4
         assert bank.free_at == finish
 
     def test_hit_then_conflict_counters(self):
+        # Per-bank hit/miss/conflict totals live on the Dimm; the bank's
+        # own state shows each case: classify's (pre, act), the ACT time
+        # and the open row.
         bank = Bank()
-        for row, expect in ((1, "miss"), (1, "hit"), (2, "conflict")):
+        expected = {
+            "miss": (T.trcd + T.tcas, True),
+            "hit": (T.tcas, False),
+            "conflict": (T.trp + T.trcd + T.tcas, True),
+        }
+        act_at = {}
+        for row, case in ((1, "miss"), (1, "hit"), (2, "conflict")):
             pre, act = bank.classify(row, T, False)
+            assert (pre, act) == expected[case]
             start = bank.earliest_start(bank.free_at, act, T)
-            bank.commit(start, row, pre, 4, act, T, False)
-        assert bank.row_misses == 1
-        assert bank.row_hits == 1
-        assert bank.row_conflicts == 1
-        assert bank.activations == 2
+            finish = bank.commit(start, row, pre, 4, act, T, False)
+            assert bank.open_row == row
+            assert bank.free_at == finish == start + pre + 4
+            act_at[case] = (start, bank.last_act_at)
+        miss_start, miss_act = act_at["miss"]
+        assert miss_act == miss_start
+        hit_act = act_at["hit"][1]
+        assert hit_act == miss_act  # a row hit issues no ACT
+        conflict_start, conflict_act = act_at["conflict"]
+        assert conflict_act == conflict_start + T.trp  # PRE, then ACT
 
     def test_trc_enforced_between_activates(self):
         bank = Bank()

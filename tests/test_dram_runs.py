@@ -29,6 +29,9 @@ class PerChipDimm:
     def __init__(self) -> None:
         self.banks = {}
         self.free = [0] * (GEO.ranks * GEO.chips_per_rank)
+        # Per-chip totals, counted at commit from ``activate`` and each
+        # chip-bank's open row before the access.
+        self.activations = self.row_hits = self.row_conflicts = 0
 
     def _group(self, coord):
         first = coord.chip_group * coord.chips_per_group
@@ -55,6 +58,12 @@ class PerChipDimm:
     def commit(self, coord, start, pre_data, transfer, activate, is_write):
         banks, bus = self._group(coord)
         for bank in banks:
+            if not activate:
+                self.row_hits += 1
+            else:
+                self.activations += 1
+                if bank.open_row is not None:
+                    self.row_conflicts += 1
             finish = bank.commit(start, coord.row, pre_data, transfer,
                                  activate, TIMING, is_write)
         self.free[bus:bus + len(banks)] = [finish] * len(banks)
@@ -73,10 +82,7 @@ class PerChipDimm:
         return entry.open_row, entry.free_at, entry.last_act_at, planned
 
     def totals(self):
-        banks = self.banks.values()
-        return (sum(b.activations for b in banks),
-                sum(b.row_hits for b in banks),
-                sum(b.row_conflicts for b in banks))
+        return self.activations, self.row_hits, self.row_conflicts
 
 
 def _coord(rank, bank, row, width, group):
