@@ -238,6 +238,9 @@ class NdpModule(Component):
 
     def _complete(self, task: Task) -> None:
         task.finished_at = self.now
+        # The cached partials hold the task: drop them, so a finished
+        # task is freed by reference counting, not left in a cycle.
+        task.cb_owner = task.resume_cb = task.operand_cb = None
         self.pes.release()
         self.tasks_completed += 1
         self.stats.add("tasks_completed", 1)

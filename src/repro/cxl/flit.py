@@ -40,10 +40,13 @@ class Message:
     The message carries its route's channel ``hops`` and the index of the
     hop it is on.  Hop ``i + 1`` only begins after hop ``i`` delivers, so
     one message serves the whole route and is never on two channels at
-    once.  :meth:`deliver` is the link's arrival callback; it moves the
-    message on, or fires the sender's zero-argument ``on_delivered`` after
-    the last hop.  Nothing on this path points back at the message, so a
-    delivered message is freed by reference counting alone.
+    once.  When :meth:`~repro.cxl.packer.PackedChannel.send` puts the
+    message on hop ``i``'s wire it advances ``index`` and schedules the
+    next step itself: hop ``i + 1``'s ``send`` bound to the message, or,
+    after the last hop, the sender's zero-argument ``on_delivered``, which
+    is therefore required.  Only the scheduler (and, while the message
+    waits in a packing buffer, its channel) holds that step, never the
+    message, so a delivered message is freed by reference counting alone.
 
     The wire-cost fields are fixed by ``kind``/``payload_bytes`` and read
     on every fabric hop, so they are computed once at construction.
@@ -66,6 +69,8 @@ class Message:
     ) -> None:
         if payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
+        if on_delivered is None:
+            raise ValueError(f"{kind.value} message needs an on_delivered callback")
         self.kind = kind
         self.payload_bytes = payload_bytes
         self.destination = destination
@@ -84,15 +89,3 @@ class Message:
         self.packed_wire_bytes = total
         #: Wire cost without data packing: whole flits only.
         self.unpacked_wire_bytes = -(-total // FLIT_BYTES) * FLIT_BYTES
-
-    def deliver(self) -> None:
-        """Arrival at the end of the current hop: send on, or call back."""
-        index = self.index + 1
-        hops = self.hops
-        if index < len(hops):
-            self.index = index
-            hops[index].send(self)
-            return
-        on_delivered = self.on_delivered
-        if on_delivered is not None:
-            on_delivered()

@@ -14,11 +14,14 @@ channel wrapper the topology builder instantiated".  It is also the only
 code that puts bytes on a :class:`~repro.cxl.link.Link`: serialization,
 the link's counters and the arrival push live at the end of
 :meth:`PackedChannel.send`, so a direct or idle-link send is one frame
-from message to scheduler.
+from message to scheduler.  The arrival push is the message's next step
+itself (the next hop's ``send`` bound to the message, or the sender's
+callback after the last hop), so a fabric hop is one frame too.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cxl.flit import FLIT_BYTES, Message
@@ -53,36 +56,36 @@ def _wire_tag(batch: List[Message]) -> Dict[str, object]:
 
 
 class _BatchDelivery:
-    """Delivers one flushed batch of packed messages at link arrival.
+    """Runs one flushed batch's next steps, in buffer order, at link arrival.
 
     A slotted callable instead of a per-flush closure; after delivery the
-    batch list is recycled into the channel's small freelist so steady-state
+    step list is recycled into the channel's small freelist so steady-state
     packing allocates one ``_BatchDelivery`` per flush and nothing else.
     """
 
-    __slots__ = ("channel", "batch")
+    __slots__ = ("channel", "steps")
 
-    def __init__(self, channel: "PackedChannel", batch: List[Message]) -> None:
+    def __init__(self, channel: "PackedChannel",
+                 steps: List[Callable[[], None]]) -> None:
         self.channel = channel
-        self.batch = batch
+        self.steps = steps
 
     def __call__(self) -> None:
-        batch = self.batch
-        for message in batch:
-            message.deliver()
-        # Delivery callbacks only ever append to the channel's *current*
-        # buffer, never to this already-shipped batch, so it is safe to
-        # recycle here.
-        free = self.channel._free_batches
+        steps = self.steps
+        for step in steps:
+            step()
+        # Steps only ever append to the channel's *current* step list,
+        # never to this already-shipped one, so it is safe to recycle here.
+        free = self.channel._free_steps
         if len(free) < PackedChannel.BATCH_FREELIST_CAP:
-            batch.clear()
-            free.append(batch)
+            steps.clear()
+            free.append(steps)
 
 
 class PackedChannel(Component):
     """Send interface over one link, with or without data packing."""
 
-    #: Cap on retained drained batch lists for reuse.
+    #: Cap on retained drained step lists for reuse.
     BATCH_FREELIST_CAP = 8
 
     def __init__(
@@ -101,13 +104,15 @@ class PackedChannel(Component):
         self.packing = packing
         self.flush_timeout = flush_timeout
         self._buffer: List[Message] = []
+        #: The buffered messages' next steps, index for index.
+        self._steps: List[Callable[[], None]] = []
         self._buffer_bytes = 0
         self._flush_scheduled_at: Optional[int] = None
         #: Live handle for the pending timeout flush (cancellable, so a
         #: buffer-full flush retracts the timer instead of leaving a dead
         #: event in the queue).
         self._flush_handle = None
-        self._free_batches: List[List[Message]] = []
+        self._free_steps: List[List[Callable[[], None]]] = []
         self._counters = self.stats.counters
         # The link's wire constants, hoisted out of its params for the
         # send path (~1M sends per figure).  The canonical bandwidths are
@@ -149,6 +154,15 @@ class PackedChannel(Component):
             wire, deliver, tag = self._take_batch()
         else:
             message.created_at = now
+            # The message's next step, run at arrival: the next hop's send,
+            # or the sender's callback after the last hop.
+            index = message.index + 1
+            hops = message.hops
+            if index < len(hops):
+                message.index = index
+                deliver = partial(hops[index].send, message)
+            else:
+                deliver = message.on_delivered
             # Counters are zero-default dicts, updated in place (~1M sends
             # per figure).
             counters = self._counters
@@ -161,7 +175,6 @@ class PackedChannel(Component):
                 if tracer:
                     tag = _wire_tag([message])
                 wire = message.unpacked_wire_bytes
-                deliver = message.deliver
             elif (not self._buffer and self.link.free_at <= now
                   and tracer is None):
                 # Idle link, empty buffer: this message would flush alone
@@ -176,14 +189,15 @@ class PackedChannel(Component):
                 link_counters["wire_bytes"] += FLIT_BYTES
                 link_counters["energy_pj"] += self._flit_pj
                 if self._ideal:
-                    self._sched.push(now, message.deliver)
+                    self._sched.push(now, deliver)
                     return
                 self.link.free_at = now + self._flit_serialize
                 link_counters["busy_cycles"] += self._flit_serialize
-                self._sched.push(now + self._flit_arrive, message.deliver)
+                self._sched.push(now + self._flit_arrive, deliver)
                 return
             else:
                 self._buffer.append(message)
+                self._steps.append(deliver)
                 self._buffer_bytes += packed_bytes
                 if (self._buffer_bytes < FLIT_BYTES
                         and self.link.free_at > now):
@@ -253,9 +267,8 @@ class PackedChannel(Component):
         """Empty the buffer into one flush: its wire bytes, its delivery
         callback and its trace tag (``None`` when tracing is off)."""
         batch = self._buffer
+        steps = self._steps
         batch_bytes = self._buffer_bytes
-        free = self._free_batches
-        self._buffer = free.pop() if free else []
         self._buffer_bytes = 0
         if self._flush_scheduled_at is not None:
             self._flush_scheduled_at = None
@@ -288,16 +301,19 @@ class PackedChannel(Component):
                 "cxl", "flit_flush", self.path, now,
                 pid=engine.trace_id, args=args,
             )
-        if len(batch) == 1:
+        # Nothing reads the shipped messages after this point, so the
+        # buffer list stays the channel's buffer.
+        batch.clear()
+        if len(steps) == 1:
             # Idle-link sends flush immediately, so single-message batches
-            # dominate: ship the message's own bound ``deliver`` and recycle
-            # the list now instead of allocating a ``_BatchDelivery``.
-            message = batch[0]
-            batch.clear()
-            if len(free) < PackedChannel.BATCH_FREELIST_CAP:
-                free.append(batch)
-            return wire, message.deliver, tag
-        return wire, _BatchDelivery(self, batch), tag
+            # dominate: ship the message's own next step and keep the step
+            # list instead of allocating a ``_BatchDelivery``.
+            deliver = steps[0]
+            steps.clear()
+            return wire, deliver, tag
+        free = self._free_steps
+        self._steps = free.pop() if free else []
+        return wire, _BatchDelivery(self, steps), tag
 
     # -- reporting ----------------------------------------------------------------
 

@@ -14,9 +14,10 @@ path memory traffic takes*:
 A :class:`Fabric` is a tree of named nodes (host at the root, switches or
 DDR channels in the middle, DIMMs at the leaves) with a
 :class:`~repro.cxl.packer.PackedChannel` per direction per edge and internal
-buses inside switches and the host.  :meth:`Fabric.route` walks the tree;
-:meth:`MemoryPool.access` runs the full request -> DRAM -> response round
-trip including controller backpressure and atomic hand-off.
+buses inside switches and the host.  :meth:`Fabric.route` walks the tree,
+and :meth:`Fabric.round_trip` gives both legs of a round trip from one
+lookup; :meth:`MemoryPool.access` runs the full request -> DRAM -> response
+round trip including controller backpressure and atomic hand-off.
 """
 
 from __future__ import annotations
@@ -104,12 +105,13 @@ class Fabric(Component):
         self.host: Optional[Host] = None
         self.switches: Dict[str, CxlSwitch] = {}
         #: (src, dst, force_host) -> (route, switches that turn the
-        #: traffic around).  Routes over a fixed topology are pure, so
-        #: they are computed once; the per-call *accounting* side effects
-        #: (host detour / switch turnaround counters) are replayed from
-        #: the cached entry.  Cleared whenever the topology grows.
+        #: traffic around, the route back from ``dst`` to ``src``).
+        #: Routes over a fixed topology are pure, so they are computed
+        #: once; the per-call *accounting* side effects (host detour /
+        #: switch turnaround counters) are replayed from the cached entry.
+        #: Cleared whenever the topology grows.
         self._route_cache: Dict[
-            Tuple[str, str, bool], Tuple[Route, List[CxlSwitch]]
+            Tuple[str, str, bool], Tuple[Route, List[CxlSwitch], Route]
         ] = {}
 
     # -- construction -------------------------------------------------------------
@@ -197,31 +199,12 @@ class Fabric(Component):
             chain.append(self._parent_of[chain[-1]])
         return chain
 
-    def route(self, src: str, dst: str, force_host: bool = False) -> Route:
-        """Channel hops from ``src`` to ``dst``.
-
-        ``force_host`` models the missing device-bias optimization: the
-        route is stretched to the host even when a switch could turn the
-        traffic around locally.
-
-        Each call also performs per-traversal *accounting* (host-detour /
-        switch-turnaround counters); routes themselves are memoized over
-        the fixed topology and the accounting is replayed on cache hits.
-        """
-        key = (src, dst, force_host)
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            route, turnarounds = cached
-            if route.via_host:
-                self.host.record_detour()
-            else:
-                for switch in turnarounds:
-                    switch.record_turnaround()
-            return route
+    def _walk(self, src: str, dst: str,
+              force_host: bool) -> Tuple[Route, List[CxlSwitch]]:
+        """The route from ``src`` to ``dst`` and the switches that turn
+        it around (none when it crosses the host); no accounting."""
         if src == dst:
-            route = Route(src, dst, [], via_host=False)
-            self._route_cache[key] = (route, [])
-            return route
+            return Route(src, dst, [], via_host=False), []
         up = self._ancestors(src)
         down = self._ancestors(dst)
         up_index = {n: i for i, n in enumerate(up)}
@@ -239,17 +222,68 @@ class Fabric(Component):
                 hops.append(self._internal[node])
         via_host = self.host is not None and self.host.name in seq
         turnarounds: List[CxlSwitch] = []
-        if via_host and self.host is not None:
-            self.host.record_detour()
-        else:
+        if not via_host:
             for node in seq[1:-1]:
                 switch = self.switches.get(node)
                 if switch is not None:
-                    switch.record_turnaround()
                     turnarounds.append(switch)
-        route = Route(src, dst, hops, via_host)
-        self._route_cache[key] = (route, turnarounds)
+        return Route(src, dst, hops, via_host), turnarounds
+
+    def _fill(self, src: str, dst: str, force_host: bool
+              ) -> Tuple[Route, List[CxlSwitch], Route]:
+        """Compute and cache the route entry of ``(src, dst, force_host)``."""
+        route, turnarounds = self._walk(src, dst, force_host)
+        back, _ = self._walk(dst, src, force_host)
+        entry = (route, turnarounds, back)
+        self._route_cache[(src, dst, force_host)] = entry
+        return entry
+
+    def route(self, src: str, dst: str, force_host: bool = False) -> Route:
+        """Channel hops from ``src`` to ``dst``.
+
+        ``force_host`` models the missing device-bias optimization: the
+        route is stretched to the host even when a switch could turn the
+        traffic around locally.
+
+        Each call also performs per-traversal *accounting* (host-detour /
+        switch-turnaround counters); routes themselves are memoized over
+        the fixed topology and the accounting is replayed on every call.
+        """
+        entry = self._route_cache.get((src, dst, force_host))
+        if entry is None:
+            entry = self._fill(src, dst, force_host)
+        route, turnarounds, _back = entry
+        if route.via_host:
+            self.host.record_detour()
+        else:
+            for switch in turnarounds:
+                switch.record_turnaround()
         return route
+
+    def round_trip(self, src: str, dst: str,
+                   force_host: bool = False) -> Tuple[Route, Route]:
+        """The routes ``src -> dst`` and back, from one cache lookup.
+
+        Accounts like ``route(src, dst, force_host)`` followed by
+        ``route(dst, src, force_host)``, which is what it runs when tracing
+        is on, so the ``host_detour``/``turnaround`` instants are those
+        two calls'.  Untraced, the counters are bumped inline: the way back
+        crosses the host exactly when the way there does, and turns around
+        in the same switches, so every counter it touches gets +2.
+        """
+        if self.engine.tracer:
+            return (self.route(src, dst, force_host),
+                    self.route(dst, src, force_host))
+        entry = self._route_cache.get((src, dst, force_host))
+        if entry is None:
+            entry = self._fill(src, dst, force_host)
+        route, turnarounds, back = entry
+        if route.via_host:
+            self.host.stats.counters["detour_messages"] += 2
+        else:
+            for switch in turnarounds:
+                switch.stats.counters["in_switch_turnarounds"] += 2
+        return route, back
 
     # -- transfer ----------------------------------------------------------------------
 
@@ -517,8 +551,8 @@ class MemoryPool(Component):
         """Send ``request`` to its DIMM on a new ``flight_cls`` flight,
         which submits it there and brings the response back."""
         fabric = self.fabric
-        route_req = fabric.route(src_node, dst_node, force_host=force_host)
-        route_resp = fabric.route(dst_node, src_node, force_host=force_host)
+        route_req, route_resp = fabric.round_trip(src_node, dst_node,
+                                                  force_host)
         flight = flight_cls(self, request, route_resp, on_done)
         req_payload = READ_REQUEST_PAYLOAD + (request.size if request.is_write else 0)
         fabric.send(route_req, MessageKind.MEM_REQUEST, req_payload,
@@ -544,8 +578,8 @@ class MemoryPool(Component):
         if engine_obj is None:
             raise RuntimeError(f"no atomic engine registered at {switch_node}")
         force_host = not self.comm.device_bias
-        route_req = self.fabric.route(src_node, switch_node, force_host=force_host)
-        route_resp = self.fabric.route(switch_node, src_node, force_host=force_host)
+        route_req, route_resp = self.fabric.round_trip(src_node, switch_node,
+                                                       force_host)
         flight = _AtomicFlight(self, request, route_resp, request.on_complete,
                                engine_obj)
         self.fabric.send(

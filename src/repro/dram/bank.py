@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.dram.timing import DramTiming
 
@@ -17,10 +17,11 @@ class Bank:
     row in the same bank index — that independence is where the fine-grained
     parallelism comes from.
 
-    Timing is split between the bank (command sequencing: ACT/PRE/CAS,
-    enforced here) and the chip data bus (transfer windows, enforced by the
-    controller), so column accesses to *different* banks of one chip
-    pipeline behind each other at burst granularity, as in real DDR4.
+    Timing is split between the bank (command sequencing: ACT/PRE/CAS)
+    and the chip data bus (transfer windows), so column accesses to
+    *different* banks of one chip pipeline behind each other at burst
+    granularity, as in real DDR4.  :meth:`repro.dram.dimm.Dimm.plan_access`
+    reads this record to gate an access; :meth:`commit` applies it.
     """
 
     open_row: Optional[int] = None
@@ -28,38 +29,6 @@ class Bank:
     free_at: int = 0
     #: Start cycle of the most recent ACT (enforces tRC).
     last_act_at: int = field(default=-(10 ** 9))
-
-    def classify(self, row: int, timing: DramTiming, is_write: bool) -> Tuple[int, bool]:
-        """Command-phase latency before data for an access to ``row``.
-
-        Returns ``(pre_data_cycles, needs_activate)`` without mutating
-        state; the controller uses it to plan bus occupancy.
-        """
-        column = timing.twl if is_write else timing.tcas
-        if self.open_row == row:
-            return column, False
-        if self.open_row is None:
-            return timing.trcd + column, True
-        return timing.trp + timing.trcd + column, True
-
-    def earliest_start(self, now: int, needs_activate: bool, timing: DramTiming) -> int:
-        """Earliest cycle the access's command sequence may begin."""
-        # Branching instead of max() chains: called per bank per planning
-        # pass, and builtins.max on two ints is slower than a compare.
-        start = self.free_at
-        if start < now:
-            start = now
-        if needs_activate:
-            act = self.last_act_at
-            gate = act + timing.trc
-            if start < gate:
-                start = gate
-            if self.open_row is not None:
-                # Conflicting row must satisfy tRAS before its precharge.
-                gate = act + timing.tras
-                if start < gate:
-                    start = gate
-        return start
 
     def commit(
         self,

@@ -100,6 +100,14 @@ class Dimm(Component):
         self._runs: List[Optional[_Run]] = [None] * (
             geometry.ranks * geometry.banks * geometry.chips_per_rank
         )
+        # The DDR4 command timings the planning loop reads (~4 plans per
+        # request), hoisted to plain ints.
+        self._trc = timing.trc
+        self._tras = timing.tras
+        self._trp = timing.trp
+        self._trcd = timing.trcd
+        self._tcas = timing.tcas
+        self._twl = timing.twl
         # Per-(rank, chip) data-bus availability, flat.
         self._chip_free_at: List[int] = [0] * (
             geometry.ranks * geometry.chips_per_rank
@@ -130,7 +138,10 @@ class Dimm(Component):
         state permits, so an access issued at ``now`` starts at
         ``max(now, start)``.  The group's first chip classifies the access
         (``pre_data`` command cycles before data, whether it activates, and
-        ``row_state`` — ``"hit"``, ``"miss"`` or ``"conflict"``).  The
+        ``row_state`` — ``"hit"``, ``"miss"`` or ``"conflict"``).  Every
+        run of the group then gates ``start``: its bank's ``free_at``, and
+        for an activation tRC after the bank's last ACT plus, when the
+        bank has a row open, tRAS before that row's precharge.  The
         command phase may begin while a chip's data bus still serves an
         earlier transfer; only the data windows serialize on the bus.
         """
@@ -139,19 +150,48 @@ class Dimm(Component):
         end = first + width
         chips = self._chips_per_rank
         base = (coord.rank * self._banks_per_rank + coord.bank) * chips
-        head = self._runs[base + first]
-        if head is None or not head.planned or head.hi < end:
-            head = self._mark_planned(base, first, end)
-        bank = head.bank
-        timing = self.timing
-        pre_data, activate = bank.classify(coord.row, timing, is_write)
-        start = bank.earliest_start(0, activate, timing)
-        chip = head.hi
-        while chip < end:
-            # The group spans several runs: every chip's bank gates it.
-            run = self._runs[base + chip]
-            start = run.bank.earliest_start(start, activate, timing)
+        runs = self._runs
+        run = runs[base + first]
+        if run is None or not run.planned or run.hi < end:
+            run = self._mark_planned(base, first, end)
+        # Classify on the head run's bank: the column latency, behind an
+        # ACT for a closed bank, behind PRE + ACT for another open row.
+        open_row = run.bank.open_row
+        pre_data = self._twl if is_write else self._tcas
+        if open_row == coord.row:
+            activate = False
+            row_state = "hit"
+        elif open_row is None:
+            activate = True
+            pre_data += self._trcd
+            row_state = "miss"
+        else:
+            activate = True
+            pre_data += self._trp + self._trcd
+            row_state = "conflict"
+        # Branching instead of max() chains: one plan per queued request
+        # per scheduling pass.
+        start = 0
+        while True:
+            bank = run.bank
+            gate = bank.free_at
+            if start < gate:
+                start = gate
+            if activate:
+                act = bank.last_act_at
+                gate = act + self._trc
+                if start < gate:
+                    start = gate
+                if bank.open_row is not None:
+                    # Conflicting row must satisfy tRAS before its precharge.
+                    gate = act + self._tras
+                    if start < gate:
+                        start = gate
             chip = run.hi
+            if chip >= end:
+                break
+            # The group spans several runs: every chip's bank gates it.
+            run = runs[base + chip]
         bus = coord.rank * chips + first
         if width == 1:
             bus = self._chip_free_at[bus] - pre_data
@@ -159,11 +199,7 @@ class Dimm(Component):
             bus = max(self._chip_free_at[bus:bus + width]) - pre_data
         if bus > start:
             start = bus
-        if not activate:
-            return start, pre_data, activate, "hit"
-        if bank.open_row is None:
-            return start, pre_data, activate, "miss"
-        return start, pre_data, activate, "conflict"
+        return start, pre_data, activate, row_state
 
     def commit_access(
         self,

@@ -16,7 +16,7 @@ algorithm on real addresses.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -114,6 +114,11 @@ class FMIndex:
         self._bwt_bytes = self.bwt.tobytes()
         self._cp_rows = [tuple(int(v) for v in row) for row in self.checkpoints]
         self._c_ints = tuple(int(v) for v in self.C)
+        #: pattern -> its :meth:`search_trace`.  The index never changes,
+        #: so a trace is derived data; the index cache shares it across
+        #: every run that walks the same read.  It grows with the distinct
+        #: patterns searched on this index and lives as long as the index.
+        self._traces: Dict[str, Tuple[FMStepAccess, ...]] = {}
 
     # -- index geometry ------------------------------------------------------
 
@@ -182,22 +187,27 @@ class FMIndex:
 
     # -- trace form ------------------------------------------------------------
 
-    def search_trace(self, pattern: str) -> Iterator[FMStepAccess]:
-        """Backward search that yields each step's memory accesses.
+    def search_trace(self, pattern: str) -> Tuple[FMStepAccess, ...]:
+        """Backward search as each step's memory accesses, in order.
 
         Every step reads the occ blocks for ``top`` and ``bot`` (one 32 B
         access each; deduplicated when both ranks fall in the same block,
         exactly what the hardware's request coalescing would do).  The
-        iteration stops early when the interval empties, as the engine does.
+        trace stops early when the interval empties, as the engine does.
+        Computed once per pattern and memoized on the index.
         """
+        trace = self._traces.get(pattern)
+        if trace is not None:
+            return trace
         if not pattern:
             raise ValueError("cannot search for an empty pattern")
         codes = encode(pattern)[::-1].tolist()
         top, bot = 0, self.num_rows
         # ``block_of`` inlined (rows here are interval bounds, always in
-        # range): this loop runs once per search step of every seeding task.
+        # range): this loop runs once per search step of every new read.
         per_block = self.BASES_PER_BLOCK
         last_block = self.num_blocks - 1
+        steps = []
         for symbol in codes:
             b_top = top // per_block
             if b_top > last_block:
@@ -207,9 +217,11 @@ class FMIndex:
                 b_bot = last_block
             blocks = (b_top,) if b_top == b_bot else (b_top, b_bot)
             top, bot = self._step(symbol, top, bot)
-            yield FMStepAccess(symbol=symbol, blocks=blocks, interval=(top, bot))
+            steps.append(FMStepAccess(symbol, blocks, (top, bot)))
             if top >= bot:
-                return
+                break
+        trace = self._traces[pattern] = tuple(steps)
+        return trace
 
     def seed(self, read: str, min_seed_length: int) -> Optional[Tuple[int, int, int]]:
         """Longest exact-match suffix seed of ``read``.

@@ -11,6 +11,7 @@ collection finds no message, flight or memory request.
 
 import gc
 from collections import Counter
+from functools import partial
 
 from repro.core import Algorithm, OptimizationFlags
 from repro.core.registry import build_system
@@ -20,7 +21,9 @@ from repro.dram.request import MemoryRequest
 from repro.experiments.runner import ExperimentScale
 
 #: Per-message and per-access objects that must never be cyclic garbage.
-HOT_PATH_TYPES = (Message, _AccessFlight, RmwFlight, MemoryRequest)
+#: A ``partial`` is a message's next step on the wire (the next hop's
+#: ``send`` bound to the message).
+HOT_PATH_TYPES = (Message, partial, _AccessFlight, RmwFlight, MemoryRequest)
 
 
 def _run_and_collect(run):

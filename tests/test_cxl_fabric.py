@@ -22,23 +22,31 @@ from repro.sim.component import Component
 GEO = DimmGeometry()
 
 
+def _noop():
+    pass
+
+
 class TestMessageWireMath:
     def test_small_payload_rounds_to_flit(self):
-        m = Message(MessageKind.MEM_RESPONSE, payload_bytes=32, destination="d")
+        m = Message(MessageKind.MEM_RESPONSE, payload_bytes=32, destination="d",
+                    on_delivered=_noop)
         assert m.unpacked_wire_bytes == FLIT_BYTES
         assert m.packed_wire_bytes == 34  # 32 + 2 B packed header
 
     def test_large_payload_multiple_flits(self):
-        m = Message(MessageKind.MEM_RESPONSE, payload_bytes=200, destination="d")
+        m = Message(MessageKind.MEM_RESPONSE, payload_bytes=200, destination="d",
+                    on_delivered=_noop)
         assert m.unpacked_wire_bytes == 256
 
     def test_request_header_cost(self):
-        m = Message(MessageKind.MEM_REQUEST, payload_bytes=8, destination="d")
+        m = Message(MessageKind.MEM_REQUEST, payload_bytes=8, destination="d",
+                    on_delivered=_noop)
         assert m.packed_wire_bytes == 24
 
     def test_payload_validation(self):
         with pytest.raises(ValueError):
-            Message(MessageKind.MEM_REQUEST, payload_bytes=0, destination="d")
+            Message(MessageKind.MEM_REQUEST, payload_bytes=0, destination="d",
+                    on_delivered=_noop)
 
 
 def _wire(engine, chan, wire_bytes, on_delivered):
@@ -174,7 +182,7 @@ class TestPackedChannel:
     def test_packing_efficiency_metric(self):
         engine, link, chan = self._channel(packing=True)
         for _ in range(16):
-            chan.send(self._msg(8, None))
+            chan.send(self._msg(8, _noop))
         engine.run()
         # The measured efficiency is the report-level useful / wire bytes;
         # here: every payload byte is counted once, and packing puts the
@@ -187,12 +195,12 @@ class TestPackedChannel:
         tracer = TraceRecorder(tck_ns=1000.0)  # 1 cycle == 1 us of ``ts``
         engine.tracer = tracer
         # A direct 128 B send at cycle 0 keeps the link busy ...
-        chan.send(self._msg(128, None))
+        chan.send(self._msg(128, _noop))
         assert link.free_at > 0
         # ... so a small request message sent at cycle 0 is buffered.
         request = MemoryRequest(addr=0, size=8)
         chan.send(Message(MessageKind.MEM_REQUEST, payload_bytes=8,
-                          destination="d", cargo=request))
+                          destination="d", on_delivered=_noop, cargo=request))
         assert chan.pending == 1
         engine.run()
         flushes = [event for event in tracer.events

@@ -11,8 +11,12 @@ from repro.cxl import (
     MessageKind,
     PackedChannel,
 )
+from repro.core.config import Algorithm, OptimizationFlags
+from repro.core.registry import build_system
 from repro.cxl.topology import MemoryPool
 from repro.dram import DimmKind
+from repro.experiments.runner import ExperimentScale
+from repro.obs import TraceRecorder
 from repro.sim import Engine
 from repro.sim.component import Component
 
@@ -102,3 +106,88 @@ class TestPoolTopologyAccounting:
         pool.access(req, "d0.0")
         engine.run()
         assert pool.fabric.comm_energy_pj() > 0
+
+
+class TestRoundTripLookup:
+    """``Fabric.round_trip`` accounts exactly like two ``route`` calls."""
+
+    def _pool(self):
+        engine, root = make()
+        pool = MemoryPool(engine, "pool", root, CommParams())
+        pool.fabric.add_host()
+        for s in range(2):
+            pool.fabric.add_switch(f"sw{s}")
+            for d in range(2):
+                pool.add_dimm(f"d{s}.{d}", f"sw{s}", DimmKind.CXLG)
+        return pool
+
+    @staticmethod
+    def _counters(fabric):
+        return (dict(fabric.host.stats.counters),
+                {name: dict(switch.stats.counters)
+                 for name, switch in fabric.switches.items()})
+
+    def test_every_node_pair(self):
+        one, two = self._pool().fabric, self._pool().fabric
+        nodes = ["host", "sw0", "sw1", "d0.0", "d0.1", "d1.0", "d1.1"]
+        for src in nodes:
+            for dst in nodes:
+                for force_host in (False, True):
+                    there, back = one.round_trip(src, dst, force_host)
+                    assert [c.path for c in there.hops] == [
+                        c.path for c in two.route(src, dst, force_host).hops]
+                    assert [c.path for c in back.hops] == [
+                        c.path for c in two.route(dst, src, force_host).hops]
+                    assert (there.src, there.dst, back.src, back.dst) == (
+                        src, dst, dst, src)
+                    assert self._counters(one) == self._counters(two)
+        host, switches = self._counters(one)
+        assert host["detour_messages"] > 0
+        assert all(s["in_switch_turnarounds"] > 0 for s in switches.values())
+
+
+#: Crossings of one quick BEACON-D FM-seeding point on Pt per ladder step,
+#: ``(host_detour, turnaround)`` trace instants, as two ``route`` calls per
+#: round trip emitted them.  Before device bias every remote access
+#: detours through the host; with it, accesses turn around in the switch.
+LADDER_CROSSINGS = {
+    "+data packing": (2764, 0),
+    "+memory access opt": (1582, 1182),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LADDER_CROSSINGS))
+def test_traced_and_untraced_points_count_the_same_crossings(label,
+                                                              monkeypatch):
+    """Untraced round trips bump the crossing counters inline; traced ones
+    go through ``route``, which also emits one instant per crossing."""
+    scale = ExperimentScale.quick()
+    algorithm = Algorithm.FM_SEEDING
+    spec = next(s for s in scale.seeding_datasets() if s.name == "Pt")
+    workload = scale.seeding_workload(spec)
+    flags = dict(OptimizationFlags.cumulative_steps("beacon-d", algorithm))
+
+    def run(tracer):
+        monkeypatch.setattr(Engine, "default_tracer", tracer)
+        system = build_system("beacon-d", scale.config_for(algorithm),
+                              flags[label], label="crossings")
+        system.run_algorithm(algorithm, workload)
+        fabric = system.pool.fabric
+        return (fabric.host.stats.get("detour_messages"),
+                sum(switch.stats.get("in_switch_turnarounds")
+                    for switch in fabric.switches.values()))
+
+    recorder = TraceRecorder(categories={"cxl"}, limit=0)
+    instants = {"host_detour": 0, "turnaround": 0}
+
+    def count(event):
+        if event["name"] in instants:
+            instants[event["name"]] += 1
+
+    recorder.subscribe(count)
+    untraced = run(None)
+    traced = run(recorder)
+    assert untraced == traced
+    crossings = (instants["host_detour"], instants["turnaround"])
+    assert crossings == traced
+    assert crossings == LADDER_CROSSINGS[label]

@@ -7,7 +7,9 @@ per (rank, chip, bank) and plans/commits a group chip by chip — the
 straightforward model the runs must reproduce exactly, including two
 quirks the published results depend on: a chip's bank comes into being
 the first time a *plan* covers it, and refresh clamps only banks that
-exist by then.
+exist by then.  The reference does its own DDR4 command arithmetic
+(column latency behind tRCD and tRP, the tRC and tRAS gates), so it
+shares no planning code with the DIMM.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -42,17 +44,24 @@ class PerChipDimm:
     def plan(self, coord, is_write):
         banks, bus = self._group(coord)
         head = banks[0]
-        pre_data, activate = head.classify(coord.row, TIMING, is_write)
-        start = 0
-        for offset, bank in enumerate(banks):
-            start = max(start, bank.earliest_start(start, activate, TIMING),
-                        self.free[bus + offset] - pre_data)
-        if not activate:
-            row_state = "hit"
+        column = TIMING.twl if is_write else TIMING.tcas
+        if head.open_row == coord.row:
+            row_state, pre_data = "hit", column
         elif head.open_row is None:
-            row_state = "miss"
+            row_state, pre_data = "miss", TIMING.trcd + column
         else:
             row_state = "conflict"
+            pre_data = TIMING.trp + TIMING.trcd + column
+        activate = row_state != "hit"
+        start = 0
+        for offset, bank in enumerate(banks):
+            gates = [bank.free_at, self.free[bus + offset] - pre_data]
+            if activate:
+                # tRC = tRAS + tRP between ACTs of one bank.
+                gates.append(bank.last_act_at + TIMING.tras + TIMING.trp)
+                if bank.open_row is not None:
+                    gates.append(bank.last_act_at + TIMING.tras)
+            start = max(start, *gates)
         return start, pre_data, activate, row_state
 
     def commit(self, coord, start, pre_data, transfer, activate, is_write):

@@ -127,6 +127,28 @@ class TestSearchTrace:
         assert steps[-1].interval[0] >= steps[-1].interval[1]
         assert len(steps) < 8
 
+    def test_memoized_trace_equals_a_fresh_index(self):
+        text = random_genome(3000, seed=2)
+        fm = FMIndex(text)
+        full = text[100:160]
+        # A foreign tail: the backward search starts there, so the
+        # interval empties within a few steps.
+        early = text[200:240] + "TTTTTTTTTTTTTTTTTTTT"
+        for read in (full, early, full, early):
+            trace = fm.search_trace(read)
+            assert fm.search_trace(read) is trace  # one search per read
+            assert trace == tuple(FMIndex(text).search_trace(read))
+        assert len(fm.search_trace(full)) == len(full)
+        last = fm.search_trace(early)[-1].interval
+        assert last[0] >= last[1]
+        assert len(fm.search_trace(early)) < 20
+
+    def test_empty_pattern_trace_rejected(self):
+        fm = FMIndex("ACGT")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fm.search_trace("")
+
 
 class TestSeed:
     def test_exact_read_seeds_fully(self):

@@ -14,6 +14,10 @@ from repro.dram.request import AccessKind, DataClass, DramCoord, MemoryRequest
 from repro.memmgmt.regions import Region, StripedLayout
 
 
+def _noop():
+    pass
+
+
 class TestCommParams:
     def test_resolve_passthrough_and_ideal(self):
         comm = CommParams()
@@ -32,22 +36,28 @@ class TestMessageHeaders:
         assert REQUEST_HEADER_BYTES > PACKED_HEADER_BYTES
 
     def test_kind_specific_header(self):
-        req = Message(MessageKind.MEM_REQUEST, 8, "d")
-        resp = Message(MessageKind.MEM_RESPONSE, 8, "d")
-        ctrl = Message(MessageKind.CONTROL, 8, "d")
+        req = Message(MessageKind.MEM_REQUEST, 8, "d", _noop)
+        resp = Message(MessageKind.MEM_RESPONSE, 8, "d", _noop)
+        ctrl = Message(MessageKind.CONTROL, 8, "d", _noop)
         assert req.header_bytes == REQUEST_HEADER_BYTES
         assert resp.header_bytes == PACKED_HEADER_BYTES
         assert ctrl.header_bytes == PACKED_HEADER_BYTES
 
     def test_exact_flit_boundary(self):
-        m = Message(MessageKind.MEM_RESPONSE, FLIT_BYTES - PACKED_HEADER_BYTES, "d")
+        m = Message(MessageKind.MEM_RESPONSE, FLIT_BYTES - PACKED_HEADER_BYTES,
+                    "d", _noop)
         assert m.unpacked_wire_bytes == FLIT_BYTES
         m2 = Message(MessageKind.MEM_RESPONSE,
-                     FLIT_BYTES - PACKED_HEADER_BYTES + 1, "d")
+                     FLIT_BYTES - PACKED_HEADER_BYTES + 1, "d", _noop)
         assert m2.unpacked_wire_bytes == 2 * FLIT_BYTES
 
-    def test_deliver_without_callback_is_noop(self):
-        Message(MessageKind.TASK, 8, "d").deliver()
+    def test_missing_callback_is_rejected(self):
+        # A message's last step is its callback, so it must have one.
+        with pytest.raises(ValueError, match="task message needs an "
+                                             "on_delivered callback"):
+            Message(MessageKind.TASK, 8, "d")
+        with pytest.raises(ValueError, match="mem_request"):
+            Message(MessageKind.MEM_REQUEST, 8, "d", on_delivered=None)
 
 
 class TestMemoryRequest:
