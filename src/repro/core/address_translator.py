@@ -9,9 +9,14 @@ but no modelled latency.
 
 from __future__ import annotations
 
-from repro.dram.request import MemoryRequest
+from repro.dram.request import DataClass, MemoryRequest
 from repro.memmgmt.regions import RegionMap
 from repro.sim.component import Component
+
+#: The fine-grained data classes, for a per-request membership test: a
+#: tuple compares members by identity in C, where the ``fine_grained``
+#: property is a Python call and a set would run ``Enum.__hash__``.
+_FINE_GRAINED = tuple(c for c in DataClass if c.fine_grained)
 
 
 class AddressTranslator(Component):
@@ -29,6 +34,6 @@ class AddressTranslator(Component):
         self.region_map.translate(request, requester=self.node)
         counters = self._counters
         counters["translations"] += 1
-        if request.data_class.fine_grained:
+        if request.data_class in _FINE_GRAINED:
             counters["fine_grained"] += 1
         return request

@@ -73,8 +73,9 @@ def probe_steps(app: CustomApplication, addresses, region_base: int,
     from repro.core.task import AccessSpec
     from repro.dram.request import DataClass
 
+    compute = app.compute()
     for offset in addresses:
-        yield app.compute()
+        yield compute
         yield MemStep([
             AccessSpec(addr=region_base + offset, size=access_bytes,
                        data_class=DataClass.GENERIC)

@@ -129,19 +129,23 @@ class NdpModule(Component):
             self.engine.schedule(step.cycles, task.resume_cb)
             return
         if isinstance(step, MemStep):
-            target = self._migration_target(step)
-            if target is not None:
-                self._migrate(task, step, target)
-                return
+            peers = self.migration_peers
+            if peers is not None:
+                target = self._migration_target(step, peers)
+                if target is not None:
+                    self._migrate(task, step, target)
+                    return
             self._issue_mem_step(task, step)
             return
         raise TypeError(f"unknown step type {type(step).__name__}")
 
     # -- MEDAL-style task migration ------------------------------------------------
 
-    def _migration_target(self, step: MemStep) -> Optional["NdpModule"]:
-        """Peer module co-located with this step's data, if migrating."""
-        if self.migration_peers is None or not step.accesses:
+    def _migration_target(
+        self, step: MemStep, peers: Dict[str, "NdpModule"]
+    ) -> Optional["NdpModule"]:
+        """The peer in ``peers`` co-located with this step's data, if any."""
+        if not step.accesses:
             return None
         first = step.accesses[0]
         try:
@@ -153,7 +157,7 @@ class NdpModule(Component):
         node = self.pool.dimm_nodes[dimm_index]
         if node == self.node:
             return None
-        return self.migration_peers.get(node)
+        return peers.get(node)
 
     def _migrate(self, task: Task, step: MemStep, target: "NdpModule") -> None:
         """Ship the task (sequence + state, one small message) to ``target``."""
@@ -185,7 +189,7 @@ class NdpModule(Component):
         self._issue_mem_step(task, step, holds_pe=False)
 
     def _issue_mem_step(self, task: Task, step: MemStep, holds_pe: bool = True) -> None:
-        accesses = list(step.accesses)
+        accesses = step.accesses
         if not accesses:
             if holds_pe:
                 # Nothing to wait for; keep running on the same PE.
@@ -218,14 +222,12 @@ class NdpModule(Component):
         task_id = task.task_id
         local = 0
         for spec in accesses:
+            # Positional, in field order (addr, size, kind, data_class,
+            # task_id, source, on_complete): matching seven keywords costs
+            # about as much as the rest of the construction.
             request = MemoryRequest(
-                addr=spec.addr,
-                size=spec.size,
-                kind=spec.kind,
-                data_class=spec.data_class,
-                task_id=task_id,
-                source=node,
-                on_complete=operand_cb,
+                spec.addr, spec.size, spec.kind, spec.data_class,
+                task_id, node, operand_cb,
             )
             translate(request)
             if request.dimm_index is not None and (

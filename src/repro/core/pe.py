@@ -27,9 +27,11 @@ class PePool(Component):
         self._last_change = 0
         self._counters = self.stats.counters
         #: ``compute_cycles.<algorithm>`` counter keys, built once per
-        #: algorithm instead of once per compute step.
+        #: algorithm instead of once per compute step.  Keyed by the
+        #: member's ``_value_`` string: ``Enum.__hash__`` is a Python
+        #: function, a str hashes in C (and caches its hash).
         self._compute_keys = {
-            algorithm: f"compute_cycles.{algorithm.value}"
+            algorithm._value_: f"compute_cycles.{algorithm.value}"
             for algorithm in Algorithm
         }
 
@@ -77,7 +79,7 @@ class PePool(Component):
         """Account one compute step (drives the compute-energy term)."""
         counters = self._counters
         counters["compute_cycles"] += cycles
-        counters[self._compute_keys[algorithm]] += cycles
+        counters[self._compute_keys[algorithm._value_]] += cycles
 
     @property
     def total_compute_cycles(self) -> float:

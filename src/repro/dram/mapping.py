@@ -54,10 +54,6 @@ class AddressMapping(ABC):
     def chips_per_group(self) -> int:
         """Chips activated per access under this mapping."""
 
-    def _check(self, addr: int) -> None:
-        if addr < 0:
-            raise ValueError(f"negative address {addr:#x}")
-
 
 class RankInterleaveMapping(AddressMapping):
     """64 B lines interleaved across banks then ranks; lockstep chips."""
@@ -71,7 +67,8 @@ class RankInterleaveMapping(AddressMapping):
         return self.geometry.chips_per_rank
 
     def map(self, addr: int) -> DramCoord:
-        self._check(addr)
+        if addr < 0:
+            raise ValueError(f"negative address {addr:#x}")
         geo = self.geometry
         line = addr // LINE_BYTES
         bank = line % geo.banks
@@ -127,7 +124,8 @@ class ChipInterleaveMapping(AddressMapping):
         return self._chips_per_group
 
     def map(self, addr: int) -> DramCoord:
-        self._check(addr)
+        if addr < 0:
+            raise ValueError(f"negative address {addr:#x}")
         geo = self.geometry
         unit = addr // self.unit_bytes
         group = unit % self.num_groups
@@ -177,7 +175,8 @@ class RowLocalityMapping(AddressMapping):
         return self._chips_per_group
 
     def map(self, addr: int) -> DramCoord:
-        self._check(addr)
+        if addr < 0:
+            raise ValueError(f"negative address {addr:#x}")
         geo = self.geometry
         row_slab = addr // self.row_bytes
         column = addr % self.row_bytes

@@ -130,6 +130,14 @@ class TestPePool:
         assert pool.total_compute_cycles == 75
         assert pool.stats.get("compute_cycles.fm_seeding") == 16
 
+    def test_compute_recording_per_algorithm(self):
+        engine = Engine()
+        pool = PePool(engine, "pes", Component(engine, "sys"), num_pes=1)
+        for cycles, algorithm in enumerate(Algorithm, start=1):
+            pool.record_compute(algorithm, cycles)
+        for cycles, algorithm in enumerate(Algorithm, start=1):
+            assert pool.stats.get(f"compute_cycles.{algorithm.value}") == cycles
+
 
 class TestTaskScheduler:
     def _sched(self):
@@ -253,6 +261,18 @@ class TestTaskSteps:
         m = MemStep([AccessSpec(addr=0, size=32)])
         assert c.cycles == 16
         assert m.accesses[0].size == 32
+
+    def test_request_fields_match_positional_construction(self):
+        # NdpModule._issue_mem_step builds requests positionally from an
+        # AccessSpec; a reordered field would misfile them silently.
+        from dataclasses import fields
+
+        from repro.dram.request import MemoryRequest
+
+        names = [f.name for f in fields(MemoryRequest)][:7]
+        assert names == ["addr", "size", "kind", "data_class", "task_id",
+                         "source", "on_complete"]
+        assert list(AccessSpec._fields) == names[:4]
 
     def test_task_ids_unique(self):
         a = Task(algorithm=Algorithm.FM_SEEDING, steps=iter(()))

@@ -139,6 +139,134 @@ class TestRegionMap:
             rmap.by_name("nope")
 
 
+def _searched(rmap, addr, requester=None):
+    """``(dimm_index, coord)`` of ``addr`` by binary search, no cache."""
+    region = rmap.find(addr)
+    dimm, local = region.layout.locate(addr - region.base, requester)
+    return dimm, region.mappings[dimm].map(local)
+
+
+def _translated(rmap, addr, requester=None):
+    request = MemoryRequest(addr=addr, size=8)
+    rmap.translate(request, requester)
+    return request.dimm_index, request.coord
+
+
+class TestLastHitTranslation:
+    """``RegionMap.translate`` tries the last region hit before searching."""
+
+    def _region(self, name, base, size, dimms):
+        # Distinct row bases per region, so a wrong region shows in coords.
+        mappings = {d: RankInterleaveMapping(GEO, row_base=7 * (base >> 12) + d)
+                    for d in dimms}
+        return Region(name=name, base=base, size=size,
+                      data_class=DataClass.GENERIC,
+                      layout=StripedLayout(dimms), mappings=mappings)
+
+    def _map(self):
+        rmap = RegionMap()
+        rmap.add(self._region("a", 0, 4096, [0, 1]))
+        rmap.add(self._region("b", 8192, 4096, [2]))
+        rmap.add(self._region("c", 16384, 8192, [0, 2, 3]))
+        return rmap
+
+    def _addresses(self):
+        # Runs of hits in one region interleaved with switches between all
+        # three, so both the cached and the searched path are taken.
+        out = []
+        for i in range(40):
+            out += [i * 97 % 4096, i * 97 % 4096 + 64,
+                    8192 + i * 61 % 4096, 16384 + i * 211 % 8192,
+                    16384 + i * 211 % 8192 + 8, i * 13 % 4096]
+        return out
+
+    def test_interleaved_addresses_match_search(self):
+        rmap = self._map()
+        for addr in self._addresses():
+            assert _translated(rmap, addr) == _searched(rmap, addr)
+
+    def test_region_edges(self):
+        rmap = self._map()
+        for addr in (0, 4095, 8192, 12287, 16384, 24575, 4095, 8192):
+            assert _translated(rmap, addr) == _searched(rmap, addr)
+
+    def test_gap_raises_key_error_after_a_hit(self):
+        rmap = self._map()
+        _translated(rmap, 100)
+        for addr in (4096, 8191, 12288, 24576):
+            with pytest.raises(KeyError, match=f"address {addr:#x} not in any region"):
+                _translated(rmap, addr)
+
+    def test_remove_drops_the_cached_region(self):
+        rmap = self._map()
+        _translated(rmap, 9000)  # last hit: b
+        rmap.remove("b")
+        with pytest.raises(KeyError, match="not in any region"):
+            _translated(rmap, 9000)
+        for addr in self._addresses():
+            if 8192 <= addr < 12288:
+                continue
+            assert _translated(rmap, addr) == _searched(rmap, addr)
+
+    def test_add_after_hits_matches_search(self):
+        rmap = self._map()
+        _translated(rmap, 100)  # last hit: a
+        rmap.remove("a")
+        rmap.add(self._region("a2", 0, 2048, [3]))
+        rmap.add(self._region("d", 32768, 4096, [1, 2]))
+        for addr in [10, 2047, 32768, 9000, 36863, 17000, 10]:
+            assert _translated(rmap, addr) == _searched(rmap, addr)
+        with pytest.raises(KeyError):
+            _translated(rmap, 3000)  # a's old tail, no longer mapped
+
+    def test_replicated_region_per_requester(self):
+        alloc = make_allocator(cxlg_per_switch=0)
+        planner = PlacementPlanner(alloc, GEO, optimized=True)
+        planner.hash_directory("dir", 4096)
+        rmap = alloc.region_map
+        region = rmap.by_name("dir")
+        for addr in range(region.base, region.base + 4096, 320):
+            for requester in ("d0.1", "d1.3", "sw1", None, "d0.1"):
+                assert (_translated(rmap, addr, requester)
+                        == _searched(rmap, addr, requester))
+
+
+class TestReplicaCache:
+    """``ReplicatedLayout`` resolves each requester's replica once."""
+
+    def test_cached_replica_matches_home_of(self):
+        alloc = make_allocator(cxlg_per_switch=0)
+        planner = PlacementPlanner(alloc, GEO, optimized=True)
+        layout = planner.fm_index("fm", 256, 32).layout
+        assert isinstance(layout, ReplicatedLayout)
+        nodes = [alloc.dimm(d).node for d in alloc.all_dimms()]
+        nodes += ["sw0", "sw1", None, "mystery"]
+        for _ in range(2):  # the second pass reads the filled table
+            for node in nodes:
+                expected = layout.replicas[layout._home_of(node)]
+                for offset in (0, 32, 4096):
+                    assert layout.locate(offset, node) == expected.locate(offset, node)
+        assert set(layout._replica_of) == set(nodes)
+        for node in nodes:
+            assert layout._replica_of[node] is layout.replicas[layout._home_of(node)]
+
+    def test_each_node_resolved_once(self):
+        calls = []
+
+        def resolver(node):
+            calls.append(node)
+            return {"d0.0": "sw0", "d1.0": "sw1"}.get(node)
+
+        layout = ReplicatedLayout(
+            {"sw0": StripedLayout([0, 1]), "sw1": StripedLayout([2, 3])},
+            home_resolver=resolver,
+        )
+        for offset in range(0, 640, 64):
+            for node in ("d0.0", "d1.0", "d1.0"):
+                layout.locate(offset, requester=node)
+        assert calls == ["d0.0", "d1.0"]
+
+
 def make_allocator(cxlg_per_switch=1, dimms_per_switch=4, switches=2,
                    tenant_bytes=0):
     alloc = PoolAllocator()
@@ -343,3 +471,25 @@ class TestFrameworkProtocol:
         )
         system.engine.run()
         assert len(responses) == 1 and responses[0].success
+
+
+class TestTranslatorCounters:
+    def test_fine_grained_count_matches_data_class_property(self):
+        from repro.core.address_translator import AddressTranslator
+        from repro.sim import Engine
+
+        rmap = RegionMap()
+        rmap.add(Region(name="r", base=0, size=1 << 16,
+                        data_class=DataClass.GENERIC,
+                        layout=StripedLayout([0]),
+                        mappings={0: RankInterleaveMapping(GEO)}))
+        translator = AddressTranslator(Engine(), "xlat", None, rmap, "d0.0")
+        classes = list(DataClass) * 3 + [DataClass.FM_INDEX_BLOCK] * 4
+        for i, data_class in enumerate(classes):
+            request = MemoryRequest(addr=i * 40, size=8, data_class=data_class)
+            assert translator.translate(request) is request
+        counters = translator.stats.counters
+        assert counters["translations"] == len(classes)
+        assert counters["fine_grained"] == sum(
+            1 for c in classes if c.fine_grained
+        )
