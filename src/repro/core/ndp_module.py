@@ -147,10 +147,9 @@ class NdpModule(Component):
         """The peer in ``peers`` co-located with this step's data, if any."""
         if not step.accesses:
             return None
-        first = step.accesses[0]
         try:
-            dimm_index, _coord = self.translator.region_map.resolve(
-                first.addr, requester=self.node
+            dimm_index = self.translator.region_map.dimm_of(
+                step.accesses[0].addr, self.node
             )
         except KeyError:
             return None

@@ -28,8 +28,8 @@ from repro.core.config import PE_COMPUTE_CYCLES, Algorithm
 from repro.dram.request import AccessKind, DataClass
 from repro.genomics.bloom import CountingBloomFilter
 from repro.genomics.fm_index import FMIndex
-from repro.genomics.hash_index import HashIndex
-from repro.genomics.kmer import iter_kmers
+from repro.genomics.hash_index import BUCKET_HEADER_BYTES, LOCATION_BYTES, HashIndex
+from repro.genomics.kmer import iter_kmers, kmer_slots
 from repro.genomics.prealign import PrealignResult, ShoujiFilter
 from repro.genomics.workloads import PrealignPair
 from repro.memmgmt.regions import Region
@@ -39,7 +39,10 @@ from repro.memmgmt.regions import Region
 # each generator yields a single ComputeStep for all its compute steps, and
 # the FM accessor one MemStep per distinct block tuple.  The generators
 # that still build a MemStep per step (hash, k-mer) pay tuple construction,
-# not the per-field ``object.__setattr__`` of a frozen dataclass.
+# not the per-field ``object.__setattr__`` of a frozen dataclass.  The k-mer
+# generators hash their whole read once, with
+# :func:`~repro.genomics.kmer.kmer_slots`, and keep the slots as that array;
+# each step converts one row.
 
 
 class AccessSpec(NamedTuple):
@@ -213,30 +216,25 @@ def hash_seeding_steps(accessor: HashIndexAccessor, read: str) -> Iterator[Step]
     mapping keeps row-major).
     """
     compute = ComputeStep(PE_COMPUTE_CYCLES[Algorithm.HASH_SEEDING])
-    for query in accessor.index.seed_read(read):
+    index = accessor.index
+    read_kind = AccessKind.READ
+    directory, locations = DataClass.HASH_DIRECTORY, DataClass.HASH_LOCATIONS
+    directory_base = accessor.directory.base
+    # A location's pool address from its index offset (directory first).
+    store_base = accessor.locations.base - index.directory_bytes
+    for query in index.seed_read(read):
         yield compute
-        yield MemStep(
-            [
-                AccessSpec(
-                    addr=accessor.header_addr(query.bucket),
-                    size=8,
-                    data_class=DataClass.HASH_DIRECTORY,
-                )
-            ]
-        )
+        yield MemStep((AccessSpec(
+            directory_base + query.bucket * BUCKET_HEADER_BYTES,
+            BUCKET_HEADER_BYTES, read_kind, directory,
+        ),))
         if query.location_addrs:
-            store_base = query.location_addrs[0] - accessor.index.directory_bytes
-            total = len(query.location_addrs) * 4
-            yield MemStep(
-                [
-                    AccessSpec(
-                        addr=accessor.location_addr(store_base + off),
-                        size=min(64, total - off),
-                        data_class=DataClass.HASH_LOCATIONS,
-                    )
-                    for off in range(0, total, 64)
-                ]
-            )
+            first = store_base + query.location_addrs[0]
+            total = len(query.location_addrs) * LOCATION_BYTES
+            yield MemStep(tuple([
+                AccessSpec(first + off, min(64, total - off), read_kind, locations)
+                for off in range(0, total, 64)
+            ]))
 
 
 def kmer_insert_steps(accessor: BloomAccessor, read: str, k: int) -> Iterator[Step]:
@@ -245,41 +243,45 @@ def kmer_insert_steps(accessor: BloomAccessor, read: str, k: int) -> Iterator[St
     The functional filter is updated as a side effect, so after the
     simulation the counter values are the real abundances (within Bloom
     overcount), and the RMW data-race handling of the Atomic Engines
-    (Fig. 7) is exercised by every increment.
+    (Fig. 7) is exercised by every increment.  The read is hashed once, by
+    :func:`kmer_slots`; each step applies its k-mer's row.  A read that
+    :func:`kmer_slots` cannot hash (not uppercase ACGT, or ``k > 32``) is
+    hashed per k-mer after each compute step, so it raises where the
+    scalar path always raised.
     """
     compute = ComputeStep(PE_COMPUTE_CYCLES[Algorithm.KMER_COUNTING])
-    for kmer in iter_kmers(read, k):
+    bloom = accessor.bloom
+    base, bits = accessor.region.base, bloom.counter_bits
+    rmw, counter = AccessKind.ATOMIC_RMW, DataClass.BLOOM_COUNTER
+    rows = kmer_slots(read, k, bloom.num_hashes, bloom.num_counters)
+    for item in iter_kmers(read, k) if rows is None else rows:
         yield compute
-        slots = accessor.bloom.insert(kmer)
-        yield MemStep(
-            [
-                AccessSpec(
-                    addr=accessor.slot_addr(slot),
-                    size=1,
-                    kind=AccessKind.ATOMIC_RMW,
-                    data_class=DataClass.BLOOM_COUNTER,
-                )
-                for slot in slots
-            ]
-        )
+        slots = bloom.slots(item) if rows is None else item.tolist()
+        bloom.insert_slots(slots)
+        # base + slot * bits // 8 is accessor.slot_addr(slot), inlined.
+        yield MemStep(tuple([
+            AccessSpec(base + slot * bits // 8, 1, rmw, counter) for slot in slots
+        ]))
 
 
 def kmer_query_steps(accessor: BloomAccessor, read: str, k: int) -> Iterator[Step]:
-    """Pass-2 counting: plain reads of the merged filter's counters."""
+    """Pass-2 counting: plain reads of the merged filter's counters.
+
+    Hashed as in :func:`kmer_insert_steps`: once per read, per k-mer when
+    :func:`kmer_slots` cannot hash the read.
+    """
     compute = ComputeStep(PE_COMPUTE_CYCLES[Algorithm.KMER_COUNTING])
-    for kmer in iter_kmers(read, k):
+    bloom = accessor.bloom
+    base, bits = accessor.region.base, bloom.counter_bits
+    read_kind, counter = AccessKind.READ, DataClass.BLOOM_COUNTER
+    rows = kmer_slots(read, k, bloom.num_hashes, bloom.num_counters)
+    for item in iter_kmers(read, k) if rows is None else rows:
         yield compute
-        slots = accessor.bloom.slots(kmer)
-        yield MemStep(
-            [
-                AccessSpec(
-                    addr=accessor.slot_addr(slot),
-                    size=1,
-                    data_class=DataClass.BLOOM_COUNTER,
-                )
-                for slot in slots
-            ]
-        )
+        slots = bloom.slots(item) if rows is None else item.tolist()
+        yield MemStep(tuple([
+            AccessSpec(base + slot * bits // 8, 1, read_kind, counter)
+            for slot in slots
+        ]))
 
 
 def prealign_steps(

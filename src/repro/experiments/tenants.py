@@ -64,7 +64,6 @@ from repro.experiments.scenarios import (
 )
 from repro.genomics.fm_index import FMIndex
 from repro.genomics.index_cache import fresh_bloom_filter, get_cache
-from repro.genomics.kmer import iter_kmers
 from repro.genomics.prealign import ShoujiFilter
 from repro.genomics.workloads import (
     SeedingWorkload,
@@ -365,8 +364,7 @@ class ServingWorkbench:
         bloom = fresh_bloom_filter(scale.num_counters)
         # Host-side pre-population (no simulated cost): abundance queries
         # then read real counter values, as a serving deployment would.
-        for kmer in iter_kmers(workload.reference, scale.kmer_k):
-            bloom.insert(kmer)
+        bloom.insert_sequence(workload.reference, scale.kmer_k)
         region = system._allocate(
             AllocationRequest(
                 application="mt_serving", algorithm="kmer_abundance",

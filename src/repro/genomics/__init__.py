@@ -25,7 +25,7 @@ from repro.genomics.sequence import (
     random_genome,
     reverse_complement,
 )
-from repro.genomics.kmer import canonical_kmer, iter_kmers, kmer_to_int
+from repro.genomics.kmer import canonical_kmer, iter_kmers, kmer_slots, kmer_to_int
 from repro.genomics.bloom import CountingBloomFilter
 from repro.genomics.fm_index import FMIndex
 from repro.genomics.hash_index import HashIndex
@@ -42,6 +42,7 @@ __all__ = [
     "decode",
     "encode",
     "iter_kmers",
+    "kmer_slots",
     "kmer_to_int",
     "random_genome",
     "reverse_complement",

@@ -22,9 +22,9 @@ naive mapping in the ablations scatters those rows across DIMMs instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.genomics.kmer import canonical_kmer, kmer_to_int, mix64
+from repro.genomics.kmer import canonical_kmer, kmer_slots, kmer_to_int, mix64
 
 #: Bytes per bucket-directory record (offset + count).
 BUCKET_HEADER_BYTES = 8
@@ -71,10 +71,17 @@ class HashIndex:
             num_buckets = max(64, len(range(0, len(reference) - k + 1, stride)))
         self.num_buckets = num_buckets
 
+        # A k-mer's bucket is its first hash slot: ``kmer_slots`` with one
+        # hash, hashing the whole reference in one numpy pass.
+        rows = kmer_slots(reference, k, 1, num_buckets)
+        if rows is None:  # not uppercase ACGT (or k > 32): hash per k-mer
+            bucket_of: Iterable[int] = (
+                self._bucket_of(reference[pos : pos + k]) for pos in sampled
+            )
+        else:
+            bucket_of = rows[::stride, 0].tolist()
         buckets: Dict[int, List[int]] = {}
-        for pos in sampled:
-            kmer = reference[pos : pos + k]
-            bucket = self._bucket_of(kmer)
+        for pos, bucket in zip(sampled, bucket_of):
             buckets.setdefault(bucket, []).append(pos)
 
         # Flatten into the directory + location-store layout.

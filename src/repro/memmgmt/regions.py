@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dram.mapping import AddressMapping
-from repro.dram.request import DataClass, DramCoord, MemoryRequest
+from repro.dram.request import DataClass, MemoryRequest
 
 
 class RegionLayout:
@@ -274,9 +274,10 @@ class RegionMap:
         request.dimm_index = dimm_index
         request.coord = mapping.map(local)
 
-    def resolve(self, addr: int, requester: Optional[str] = None) -> Tuple[int, DramCoord]:
-        """Translate a bare address (convenience for tests)."""
-        probe = MemoryRequest(addr=addr, size=1)
-        self.translate(probe, requester)
-        assert probe.dimm_index is not None and probe.coord is not None
-        return probe.dimm_index, probe.coord
+    def dimm_of(self, addr: int, requester: Optional[str] = None) -> int:
+        """The DIMM :meth:`translate` would pick for ``addr``, without a
+        request or a DRAM coordinate (``KeyError`` outside every region)."""
+        region = self._last
+        if region is None or not (region.base <= addr < region.base + region.size):
+            region = self._last = self.find(addr)
+        return region.layout.locate(addr - region.base, requester)[0]

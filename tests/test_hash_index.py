@@ -96,3 +96,50 @@ def test_random_position_property(pos):
     pos = min(pos, len(genome) - index.k)
     kmer = genome[pos : pos + index.k]
     assert pos in index.lookup(kmer)
+
+
+def _scalar_buckets(reference, k, stride, num_buckets):
+    """The per-k-mer build: bucket -> its sampled positions, in order."""
+    index = HashIndex(reference, k=k, stride=stride, num_buckets=num_buckets)
+    buckets = {}
+    for pos in range(0, len(reference) - k + 1, stride):
+        bucket = index._bucket_of(reference[pos : pos + k])
+        buckets.setdefault(bucket, []).append(pos)
+    return index, buckets
+
+
+def _bucket_lists(index):
+    """Every bucket's location list, as the directory lays it out."""
+    return {
+        bucket: index._locations[offset : offset + count]
+        for bucket, (offset, count) in enumerate(
+            zip(index._bucket_offset, index._bucket_count))
+        if count
+    }
+
+
+class TestVectorizedBuild:
+    """The buckets come from one ``kmer_slots`` pass over the reference."""
+
+    @pytest.mark.parametrize("length,k,stride,num_buckets", [
+        (600, 11, 1, 64), (3000, 13, 1, 750), (3000, 13, 3, 97),
+        (5000, 15, 2, 4096), (400, 32, 5, 1 << 20), (300, 1, 1, 64),
+    ])
+    def test_bucket_lists_equal_the_scalar_build(self, length, k, stride,
+                                                 num_buckets):
+        reference = random_genome(length, seed=length + k)
+        index, buckets = _scalar_buckets(reference, k, stride, num_buckets)
+        assert _bucket_lists(index) == buckets
+        # Empty buckets keep offset 0, as the per-k-mer build left them.
+        assert all(index._bucket_offset[b] == 0
+                   for b in range(num_buckets) if b not in buckets)
+        assert len(index._locations) == len(range(0, length - k + 1, stride))
+
+    def test_lowercase_reference_takes_the_scalar_path(self):
+        reference = random_genome(500, seed=3).lower()
+        index, buckets = _scalar_buckets(reference, 11, 1, 64)
+        assert _bucket_lists(index) == buckets
+
+    def test_n_in_reference_raises_as_before(self):
+        with pytest.raises(ValueError, match="non-ACGT character 'N' in k-mer"):
+            HashIndex("ACGT" * 10 + "N" + "ACGT" * 10, k=5)

@@ -231,6 +231,27 @@ class TestLastHitTranslation:
                         == _searched(rmap, addr, requester))
 
 
+    def test_dimm_of_matches_translate(self):
+        """The request-free lookup MEDAL/NEST migration uses picks the same
+        DIMM as a full translation, through hits, misses and gaps."""
+        rmap = self._map()
+        for addr in self._addresses() + [0, 4095, 8192, 24575]:
+            assert rmap.dimm_of(addr) == _searched(rmap, addr)[0]
+        for addr in (4096, 24576):
+            with pytest.raises(KeyError, match="not in any region"):
+                rmap.dimm_of(addr)
+
+    def test_dimm_of_per_requester_on_a_replicated_region(self):
+        alloc = make_allocator(cxlg_per_switch=0)
+        PlacementPlanner(alloc, GEO, optimized=True).hash_directory("dir", 4096)
+        rmap = alloc.region_map
+        region = rmap.by_name("dir")
+        for addr in range(region.base, region.base + 4096, 320):
+            for requester in ("d0.1", "d1.3", "sw1", None):
+                assert (rmap.dimm_of(addr, requester)
+                        == _searched(rmap, addr, requester)[0])
+
+
 class TestReplicaCache:
     """``ReplicatedLayout`` resolves each requester's replica once."""
 
