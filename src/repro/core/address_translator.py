@@ -27,13 +27,22 @@ class AddressTranslator(Component):
         super().__init__(engine, name, parent)
         self.region_map = region_map
         self.node = node
-        self._counters = self.stats.counters
+        #: Per-request tallies, pulled into the scope under the same names.
+        self.translations = 0
+        self.fine_grained = 0
+        self.stats.pull = self._pull_stats
+
+    def _pull_stats(self) -> None:
+        counters = self.stats.counters
+        if self.translations:
+            counters["translations"] = float(self.translations)
+        if self.fine_grained:
+            counters["fine_grained"] = float(self.fine_grained)
 
     def translate(self, request: MemoryRequest) -> MemoryRequest:
         """Fill in ``dimm_index`` + ``coord``; returns the same request."""
         self.region_map.translate(request, requester=self.node)
-        counters = self._counters
-        counters["translations"] += 1
+        self.translations += 1
         if request.data_class in _FINE_GRAINED:
-            counters["fine_grained"] += 1
+            self.fine_grained += 1
         return request

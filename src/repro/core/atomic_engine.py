@@ -50,6 +50,17 @@ class AtomicEngineBank(Component):
         #: RMWs on an engine, in start order.  Every engine takes the same
         #: ``compute_cycles``, so they also finish in this order.
         self._computing: Deque[RmwFlight] = deque()
+        #: Per-RMW tallies, pulled into the scope under the same names.
+        self.rmw_ops = 0
+        self.queued = 0
+        self.stats.pull = self._pull_stats
+
+    def _pull_stats(self) -> None:
+        counters = self.stats.counters
+        if self.rmw_ops:
+            counters["rmw_ops"] = float(self.rmw_ops)
+        if self.queued:
+            counters["queued"] = float(self.queued)
 
     def perform(self, pool: MemoryPool, request: MemoryRequest, respond: Respond) -> None:
         """Serve one RMW.
@@ -61,14 +72,14 @@ class AtomicEngineBank(Component):
         """
         if request.kind is not AccessKind.ATOMIC_RMW:
             raise ValueError("AtomicEngineBank only serves ATOMIC_RMW requests")
-        self.stats.add("rmw_ops", 1)
+        self.rmw_ops += 1
         RmwFlight(pool, request, self.node, self._claim_engine, respond).start()
 
     def _claim_engine(self, flight: RmwFlight) -> None:
         """Run the arithmetic on a free engine (FIFO when all busy)."""
         if self.busy >= self.num_engines:
             self._backlog.append(flight)
-            self.stats.add("queued", 1)
+            self.queued += 1
             return
         self._run_engine(flight)
 

@@ -49,7 +49,11 @@ class NdpModule(Component):
         self.scheduler = TaskScheduler(engine, "sched", self)
         self.translator = AddressTranslator(engine, "xlat", self, region_map, node)
         self.scheduler.on_ready = self._dispatch
-        self._counters = self.stats.counters
+        #: Per-memory-step tallies, pulled into the scope under the same
+        #: names (a step writes each only when it adds to it).
+        self.mem_requests = 0
+        self.local_requests = 0
+        self.stats.pull = self._pull_stats
         self.tasks_completed = 0
         #: System-level hook fired on every task completion.
         self.on_task_done: Optional[Callable[[Task], None]] = None
@@ -59,6 +63,13 @@ class NdpModule(Component):
         #: the data — the prior work's answer to the inter-DIMM bottleneck.
         self.migration_peers: Optional[Dict[str, "NdpModule"]] = None
         self._dispatch_pending = False
+
+    def _pull_stats(self) -> None:
+        counters = self.stats.counters
+        if self.mem_requests:
+            counters["mem_requests"] = float(self.mem_requests)
+        if self.local_requests:
+            counters["local_requests"] = float(self.local_requests)
 
     # -- task entry -------------------------------------------------------------
 
@@ -212,8 +223,7 @@ class NdpModule(Component):
         if task.cb_owner is not self:
             self._bind_task(task)
         operand_cb = task.operand_cb
-        counters = self._counters
-        counters["mem_requests"] += len(accesses)
+        self.mem_requests += len(accesses)
         translate = self.translator.translate
         pool = self.pool
         dimm_nodes = pool.dimm_nodes
@@ -235,7 +245,7 @@ class NdpModule(Component):
                 local += 1
             pool.access(request, node)
         if local:
-            counters["local_requests"] += local
+            self.local_requests += local
 
     def _complete(self, task: Task) -> None:
         task.finished_at = self.now

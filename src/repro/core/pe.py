@@ -10,6 +10,8 @@ the current one waits on memory (Section IV-B's task switching).
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 from repro.core.config import Algorithm
 from repro.sim.component import Component
 
@@ -25,15 +27,33 @@ class PePool(Component):
         self.busy = 0
         self._busy_area = 0.0       # sum of (busy PEs x cycles), for utilization
         self._last_change = 0
-        self._counters = self.stats.counters
-        #: ``compute_cycles.<algorithm>`` counter keys, built once per
-        #: algorithm instead of once per compute step.  Keyed by the
-        #: member's ``_value_`` string: ``Enum.__hash__`` is a Python
-        #: function, a str hashes in C (and caches its hash).
-        self._compute_keys = {
-            algorithm._value_: f"compute_cycles.{algorithm.value}"
-            for algorithm in Algorithm
-        }
+        #: Compute-cycle tallies, pulled into the scope as
+        #: ``compute_cycles`` and ``compute_cycles.<algorithm>``.  The
+        #: running algorithm's share accumulates in ``_algorithm_cycles``
+        #: and is folded into ``_cycles_by_algorithm`` (in first-use order)
+        #: when another algorithm computes, so a step compares members by
+        #: identity and hashes nothing.
+        self.compute_cycles = 0
+        self._algorithm: Optional[Algorithm] = None
+        self._algorithm_cycles = 0
+        self._cycles_by_algorithm: Dict[Algorithm, int] = {}
+        self.stats.pull = self._pull_stats
+
+    def _fold_algorithm(self) -> None:
+        if self._algorithm is not None:
+            self._cycles_by_algorithm[self._algorithm] = self._algorithm_cycles
+
+    def _pull_stats(self) -> None:
+        if self._algorithm is None:
+            return
+        self._fold_algorithm()
+        counters = self.stats.counters
+        # repro: allow[int-cycle-arithmetic] -- the reporting copy of the
+        # int tally; timing never reads it back.
+        counters["compute_cycles"] = float(self.compute_cycles)
+        for algorithm, cycles in self._cycles_by_algorithm.items():
+            # repro: allow[int-cycle-arithmetic] -- as above, per algorithm.
+            counters[f"compute_cycles.{algorithm.value}"] = float(cycles)
 
     def _account(self) -> None:
         now = self.engine.now
@@ -77,9 +97,13 @@ class PePool(Component):
 
     def record_compute(self, algorithm: Algorithm, cycles: int) -> None:
         """Account one compute step (drives the compute-energy term)."""
-        counters = self._counters
-        counters["compute_cycles"] += cycles
-        counters[self._compute_keys[algorithm._value_]] += cycles
+        self.compute_cycles += cycles
+        if algorithm is not self._algorithm:
+            self._fold_algorithm()
+            self._algorithm = algorithm
+            self._algorithm_cycles = self._cycles_by_algorithm.get(
+                algorithm, 0)
+        self._algorithm_cycles += cycles
 
     @property
     def total_compute_cycles(self) -> float:

@@ -24,16 +24,21 @@ class TaskScheduler(Component):
         #: :meth:`push_ready`; the owning module's dispatcher pops them.
         self.ready: Deque[Task] = deque()
         self._waiting: Set[int] = set()
-        self._counters = self.stats.counters
+        #: Tasks parked on memory operands (a tally, pulled into the scope).
+        self.parked = 0
+        self.stats.pull = self._pull_stats
         #: Invoked whenever a task becomes ready (the dispatcher hook).
         self.on_ready: Optional[Callable[[], None]] = None
+
+    def _pull_stats(self) -> None:
+        if self.parked:
+            self.stats.counters["parked"] = float(self.parked)
 
     # -- out-going queue -----------------------------------------------------------
 
     def push_ready(self, task: Task) -> None:
         """A new or resumed task is ready for a PE."""
         self.ready.append(task)
-        self._counters["ready_pushes"] += 1
         tracer = self.engine.tracer
         if tracer and tracer.wants("ndp"):
             # Marks the park -> ready boundary: the latency profiler splits
@@ -55,7 +60,7 @@ class TaskScheduler(Component):
             raise ValueError("operands must be positive")
         task.waiting_operands = operands
         self._waiting.add(task.task_id)
-        self._counters["parked"] += 1
+        self.parked += 1
 
     def operand_ready(self, task: Task, _request: object = None) -> None:
         """One of the task's operands arrived ("the data back with local

@@ -33,10 +33,18 @@ class Host(Component):
         #: Internal forwarding path every host-detoured message crosses.
         self.bus = Link(engine, f"{name}.bus", self, bus_params,
                         role="host_bus")
+        #: Coherence-detour crossings (a tally, pulled into the scope).
+        self.detour_messages = 0
+        self.stats.pull = self._pull_stats
+
+    def _pull_stats(self) -> None:
+        if self.detour_messages:
+            self.stats.counters["detour_messages"] = float(
+                self.detour_messages)
 
     def record_detour(self) -> None:
         """Account one coherence-detour crossing (for the Fig. 9 analysis)."""
-        self.stats.counters["detour_messages"] += 1
+        self.detour_messages += 1
         tracer = self.engine.tracer
         if tracer:
             tracer.instant("cxl", "host_detour", self.path, self.now,

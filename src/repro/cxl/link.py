@@ -7,7 +7,7 @@ the internal Switch-Bus; only the parameters differ.  Idealized
 communication — the "infinite bandwidth and zero latency" configuration of
 Fig. 3 — is a link with :data:`IDEAL_LINK_PARAMS`.
 
-The link holds the wire's state (when it frees up, its counters);
+The link holds the wire's state (when it frees up, its tallies);
 :meth:`repro.cxl.packer.PackedChannel.send` is the one code path that puts
 bytes on it.  Several channels may share one link (a DDR multidrop bus).
 Transfers serialize in submission order: the Bus Controllers arbitrate
@@ -73,6 +73,27 @@ class Link(Component):
         #: Cycle after which a new transfer would start serializing.  A
         #: plain attribute: every send reads and advances it.
         self.free_at = 0
+        #: Per-transfer tallies, advanced by ``PackedChannel.send`` and
+        #: pulled into the scope as ``messages``, ``wire_bytes``,
+        #: ``energy_pj`` and (not on an ideal link) ``busy_cycles``.
+        self.messages = 0
+        self.wire_bytes = 0
+        self.energy_pj = 0.0
+        self.busy_cycles = 0
+        self.stats.pull = self._pull_stats
+
+    def _pull_stats(self) -> None:
+        # Every transfer writes all four (an ideal link has no
+        # serialization), so an idle link still reports no counters.
+        if self.messages:
+            counters = self.stats.counters
+            counters["messages"] = float(self.messages)
+            counters["wire_bytes"] = float(self.wire_bytes)
+            counters["energy_pj"] = self.energy_pj
+            if not self.params.ideal:
+                # repro: allow[int-cycle-arithmetic] -- the reporting copy
+                # of the int tally; timing never reads it back.
+                counters["busy_cycles"] = float(self.busy_cycles)
 
     def utilization(self, end_cycle: int) -> float:
         """Fraction of cycles spent serializing, up to ``end_cycle``."""

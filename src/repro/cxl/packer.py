@@ -12,7 +12,7 @@ above the link layer; construction chooses packing on or off, so the
 ``data_packing`` optimization flag of the experiments is literally "which
 channel wrapper the topology builder instantiated".  It is also the only
 code that puts bytes on a :class:`~repro.cxl.link.Link`: serialization,
-the link's counters and the arrival push live at the end of
+the link's tallies and the arrival push live at the end of
 :meth:`PackedChannel.send`, so a direct or idle-link send is one frame
 from message to scheduler.  The arrival push is the message's next step
 itself (the next hop's ``send`` bound to the message, or the sender's
@@ -113,7 +113,12 @@ class PackedChannel(Component):
         #: event in the queue).
         self._flush_handle = None
         self._free_steps: List[List[Callable[[], None]]] = []
-        self._counters = self.stats.counters
+        #: Per-send tallies, pulled into the scope under the same names.
+        self.payload_bytes = 0
+        self.direct_messages = 0
+        self.packed_flits = 0
+        self.packed_messages = 0
+        self.stats.pull = self._pull_stats
         # The link's wire constants, hoisted out of its params for the
         # send path (~1M sends per figure).  The canonical bandwidths are
         # whole bytes/cycle, so serialization can use int ceil-division; a
@@ -132,9 +137,19 @@ class PackedChannel(Component):
         self._flit_serialize = int(-(-FLIT_BYTES // self._bpc))
         self._flit_pj = FLIT_BYTES * self._pj
         self._flit_arrive = self._flit_serialize + self._latency
-        #: The link's counters: shared by every channel on the link.
-        self._wire = link.stats.counters
         self._sched = engine.scheduler
+
+    def _pull_stats(self) -> None:
+        # Every message sent so far is direct, flushed in a packed flit or
+        # still buffered; each one wrote ``payload_bytes``.
+        counters = self.stats.counters
+        if self.direct_messages or self.packed_messages or self._buffer:
+            counters["payload_bytes"] = float(self.payload_bytes)
+        if self.direct_messages:
+            counters["direct_messages"] = float(self.direct_messages)
+        if self.packed_messages:
+            counters["packed_flits"] = float(self.packed_flits)
+            counters["packed_messages"] = float(self.packed_messages)
 
     def send(self, message: Optional[Message] = None) -> None:
         """Queue ``message`` for transfer; its callback fires at delivery.
@@ -163,15 +178,13 @@ class PackedChannel(Component):
                 deliver = partial(hops[index].send, message)
             else:
                 deliver = message.on_delivered
-            # Counters are zero-default dicts, updated in place (~1M sends
-            # per figure).
-            counters = self._counters
-            counters["payload_bytes"] += message.payload_bytes
+            # Tallies are plain attributes (~1M sends per figure).
+            self.payload_bytes += message.payload_bytes
             packed_bytes = message.packed_wire_bytes
             if not self.packing or packed_bytes >= FLIT_BYTES:
                 # Large payloads gain nothing from packing; ship them
                 # directly.
-                counters["direct_messages"] += 1
+                self.direct_messages += 1
                 if tracer:
                     tag = _wire_tag([message])
                 wire = message.unpacked_wire_bytes
@@ -182,17 +195,17 @@ class PackedChannel(Component):
                 # it goes straight onto the wire from the per-channel flit
                 # constants and returns.  Kept off under tracing so the
                 # flit_flush instant stream is unchanged.
-                counters["packed_flits"] += 1
-                counters["packed_messages"] += 1
-                link_counters = self._wire
-                link_counters["messages"] += 1
-                link_counters["wire_bytes"] += FLIT_BYTES
-                link_counters["energy_pj"] += self._flit_pj
+                self.packed_flits += 1
+                self.packed_messages += 1
+                link = self.link
+                link.messages += 1
+                link.wire_bytes += FLIT_BYTES
+                link.energy_pj += self._flit_pj
                 if self._ideal:
                     self._sched.push(now, deliver)
                     return
-                self.link.free_at = now + self._flit_serialize
-                link_counters["busy_cycles"] += self._flit_serialize
+                link.free_at = now + self._flit_serialize
+                link.busy_cycles += self._flit_serialize
                 self._sched.push(now + self._flit_arrive, deliver)
                 return
             else:
@@ -210,16 +223,13 @@ class PackedChannel(Component):
                 # co-travellers would only add latency.
                 wire, deliver, tag = self._take_batch()
         # -- onto the wire: ``wire`` bytes, ``deliver`` fires at arrival --
-        # Link counters (four per transfer) are created on the first
-        # transfer, so an idle link still reports no counters.
-        counters = self._wire
-        counters["messages"] += 1
-        counters["wire_bytes"] += wire
-        counters["energy_pj"] += wire * self._pj
+        link = self.link
+        link.messages += 1
+        link.wire_bytes += wire
+        link.energy_pj += wire * self._pj
         if self._ideal:
             self._sched.push(now, deliver)
             return
-        link = self.link
         start = link.free_at
         if start < now:
             start = now
@@ -227,7 +237,7 @@ class PackedChannel(Component):
         free_at = start + serialize
         link.free_at = free_at
         arrive = free_at + self._latency
-        counters["busy_cycles"] += serialize
+        link.busy_cycles += serialize
         if tracer and tracer.wants("cxl"):
             args: Dict[str, object] = {
                 "bytes": wire,
@@ -275,9 +285,8 @@ class PackedChannel(Component):
             self._flush_handle.cancel()
             self._flush_handle = None
         wire = -(-batch_bytes // FLIT_BYTES) * FLIT_BYTES
-        counters = self._counters
-        counters["packed_flits"] += wire // FLIT_BYTES
-        counters["packed_messages"] += len(batch)
+        self.packed_flits += wire // FLIT_BYTES
+        self.packed_messages += len(batch)
         engine = self.engine
         tracer = engine.tracer
         tag = None

@@ -37,6 +37,14 @@ class CxlSwitch(Component):
         #: Routing table: destination node -> downstream port index (the
         #: Virtual CXL Switch binding).
         self.vcs_table: Dict[str, int] = {}
+        #: In-switch turn-arounds (a tally, pulled into the scope).
+        self.in_switch_turnarounds = 0
+        self.stats.pull = self._pull_stats
+
+    def _pull_stats(self) -> None:
+        if self.in_switch_turnarounds:
+            self.stats.counters["in_switch_turnarounds"] = float(
+                self.in_switch_turnarounds)
 
     def attach_dimm(self, node_name: str) -> int:
         """Bind a DIMM node to the next downstream port; returns the port."""
@@ -51,7 +59,7 @@ class CxlSwitch(Component):
 
     def record_turnaround(self) -> None:
         """Account one in-switch (host-avoiding) turn-around."""
-        self.stats.counters["in_switch_turnarounds"] += 1
+        self.in_switch_turnarounds += 1
         tracer = self.engine.tracer
         if tracer:
             tracer.instant("cxl", "turnaround", self.path, self.now,

@@ -267,9 +267,9 @@ class Fabric(Component):
         Accounts like ``route(src, dst, force_host)`` followed by
         ``route(dst, src, force_host)``, which is what it runs when tracing
         is on, so the ``host_detour``/``turnaround`` instants are those
-        two calls'.  Untraced, the counters are bumped inline: the way back
+        two calls'.  Untraced, the tallies are bumped inline: the way back
         crosses the host exactly when the way there does, and turns around
-        in the same switches, so every counter it touches gets +2.
+        in the same switches, so every tally it touches gets +2.
         """
         if self.engine.tracer:
             return (self.route(src, dst, force_host),
@@ -279,10 +279,10 @@ class Fabric(Component):
             entry = self._fill(src, dst, force_host)
         route, turnarounds, back = entry
         if route.via_host:
-            self.host.stats.counters["detour_messages"] += 2
+            self.host.detour_messages += 2
         else:
             for switch in turnarounds:
-                switch.stats.counters["in_switch_turnarounds"] += 2
+                switch.in_switch_turnarounds += 2
         return route, back
 
     # -- transfer ----------------------------------------------------------------------

@@ -70,14 +70,29 @@ class DimmController(Component):
         #: already-scheduled later pass cancels it outright instead of
         #: letting a stale event fire and bail.
         self._wake_handle = None
-        #: Per-request counters are written into the scope's zero-default
-        #: dict directly rather than paying a ``stats.add`` call each.
-        self._counters = self.stats.counters
+        #: Per-request tallies, pulled into the scope under the same names.
+        self.accepted = 0
+        self.parked = 0
+        self.issued = 0
+        self.bytes_accessed = 0
+        self.useful_bytes = 0
+        self.stats.pull = self._pull_stats
         # Per-DIMM constants hoisted out of the issue path (both the
         # timing and geometry dataclasses are frozen for the DIMM's life).
         self._tbl = dimm.timing.tbl
         self._burst_bytes_per_chip = dimm.geometry.burst_bytes_per_chip
         self._sched = engine.scheduler
+
+    def _pull_stats(self) -> None:
+        counters = self.stats.counters
+        if self.accepted:
+            counters["accepted"] = float(self.accepted)
+        if self.parked:
+            counters["parked"] = float(self.parked)
+        if self.issued:
+            counters["issued"] = float(self.issued)
+            counters["bytes_accessed"] = float(self.bytes_accessed)
+            counters["useful_bytes"] = float(self.useful_bytes)
 
     # -- submission -------------------------------------------------------------
 
@@ -102,11 +117,11 @@ class DimmController(Component):
         dimm.refresh.notify_activity()
         if len(self.queue) < self.queue_capacity and not self._waiters:
             self.queue.append(request)
-            self._counters["accepted"] += 1
+            self.accepted += 1
             self._wake(0)
         else:
             self._waiters.append(request)
-            self._counters["parked"] += 1
+            self.parked += 1
             tracer = engine.tracer
             if tracer:
                 tracer.instant(
@@ -176,7 +191,7 @@ class DimmController(Component):
             self._issue(queue.pop(pick), pick_plan)
             while waiters and len(queue) < capacity:
                 queue.append(waiters.popleft())
-                self._counters["accepted"] += 1
+                self.accepted += 1
 
     # -- issue ---------------------------------------------------------------------
 
@@ -218,11 +233,9 @@ class DimmController(Component):
             dimm.energy.on_activate(chips=chips)
         dimm.chip_counters.record(coord.rank, coord.chip_group, chips, bursts)
         dimm.energy.on_burst(chips, bursts, request.is_write)
-        counters = self._counters
-        counters["issued"] += 1
-        counters["bursts"] += bursts
-        counters["bytes_accessed"] += bursts * group_bytes
-        counters["useful_bytes"] += request.size
+        self.issued += 1
+        self.bytes_accessed += bursts * group_bytes
+        self.useful_bytes += request.size
         # The completion cycle is known now: stamp it and schedule the
         # request's bound completion method instead of a per-request lambda.
         # ``finish`` is integral and not before ``now`` by construction

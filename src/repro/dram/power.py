@@ -39,22 +39,36 @@ class DramEnergyModel:
 
     One model instance serves one DIMM; the controller reports events and
     the experiment harness calls :meth:`finalize` once with the end time to
-    add the background term.
+    add the background term.  The per-event energies are float tallies of
+    the model (``energy_act_nj``, ``energy_rw_nj``), added in event order
+    and pulled into ``stats``, whose read hook the model owns.
     """
 
     def __init__(self, stats, total_chips: int, tck_ns: float,
                  params: DramEnergyParams = DramEnergyParams()) -> None:
         self.stats = stats
-        #: The per-burst and per-activate sites add into the scope's
-        #: zero-default dict directly (once or twice per DRAM request).
-        self._counters = stats.counters
         self.total_chips = total_chips
         self.tck_ns = tck_ns
         self.params = params
+        self.energy_act_nj = 0.0
+        self.energy_rw_nj = 0.0
+        # Event counts: a tally's key exists once its event has happened,
+        # even when the energy it added was zero.
+        self._activates = 0
+        self._burst_events = 0
+        stats.pull = self._pull_stats
+
+    def _pull_stats(self) -> None:
+        counters = self.stats.counters
+        if self._activates:
+            counters["energy_act_nj"] = self.energy_act_nj
+        if self._burst_events:
+            counters["energy_rw_nj"] = self.energy_rw_nj
 
     def on_activate(self, chips: int) -> None:
         """An ACT(+eventual PRE) on ``chips`` chips of one rank."""
-        self._counters["energy_act_nj"] += self.params.act_pre_nj_per_chip * chips
+        self._activates += 1
+        self.energy_act_nj += self.params.act_pre_nj_per_chip * chips
 
     def on_burst(self, chips: int, bursts: int, is_write: bool) -> None:
         """``bursts`` BL8 data bursts across ``chips`` chips."""
@@ -63,7 +77,8 @@ class DramEnergyModel:
             if is_write
             else self.params.read_burst_nj_per_chip
         )
-        self._counters["energy_rw_nj"] += per * chips * bursts
+        self._burst_events += 1
+        self.energy_rw_nj += per * chips * bursts
 
     def finalize(self, end_cycle: int) -> None:
         """Add background energy for the whole run (idempotent via ``set``)."""

@@ -141,12 +141,16 @@ class HashIndex:
         bucket = self._bucket_of(kmer)
         offset = self._bucket_offset[bucket]
         count = self._bucket_count[bucket]
+        # A bucket's slots are contiguous and inside the location store by
+        # construction, so their addresses are one arithmetic range (what
+        # ``location_address`` gives slot by slot).
+        first = self.directory_bytes + offset * LOCATION_BYTES
         return HashQueryAccess(
             kmer=kmer,
             bucket=bucket,
             header_addr=self.header_address(bucket),
             location_addrs=tuple(
-                self.location_address(offset + i) for i in range(count)
+                range(first, first + count * LOCATION_BYTES, LOCATION_BYTES)
             ),
             locations=tuple(self._locations[offset : offset + count]),
         )

@@ -123,8 +123,10 @@ class TestRoundTripLookup:
 
     @staticmethod
     def _counters(fabric):
-        return (dict(fabric.host.stats.counters),
-                {name: dict(switch.stats.counters)
+        # Through ``as_dict``, which pulls the host's and switches' tallies
+        # (their bus links' scopes nest in, idle on both sides).
+        return (fabric.host.stats.as_dict(),
+                {name: switch.stats.as_dict()
                  for name, switch in fabric.switches.items()})
 
     def test_every_node_pair(self):

@@ -75,6 +75,26 @@ class TestTrace:
             if i:
                 assert addr == trace.location_addrs[i - 1] + LOCATION_BYTES
 
+    def test_location_range_equals_per_slot_addresses(self):
+        """Every bucket's address range equals ``location_address`` slot by
+        slot: k-mers of the reference (filled buckets, strided so some
+        positions are unsampled) and of another genome (mostly empty)."""
+        genome, index = make_index(length=1500, stride=3)
+        other = random_genome(400, seed=5)
+        kmers = [seq[p : p + index.k]
+                 for seq in (genome, other)
+                 for p in range(len(seq) - index.k + 1)]
+        empty = 0
+        for kmer in kmers:
+            trace = index.lookup_trace(kmer)
+            offset = index._bucket_offset[trace.bucket]
+            count = index._bucket_count[trace.bucket]
+            assert trace.location_addrs == tuple(
+                index.location_address(offset + i) for i in range(count))
+            assert len(trace.location_addrs) == len(trace.locations)
+            empty += count == 0
+        assert 0 < empty < len(kmers)
+
     def test_seed_read_covers_read(self):
         genome, index = make_index()
         read = genome[200:300]

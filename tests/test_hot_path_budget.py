@@ -11,10 +11,15 @@ imports), so the measured run does not depend on which tests ran before
 it.
 
 The ceilings are measured counts (CPython 3.11) plus 2%: FM seeding
-wheel 17.28, heap 18.27 calls/event (now 17.08 and 18.07; its ceilings
-were left where they were); k-mer counting wheel 13.28, heap 14.58.  A
-change that adds a frame to the per-request path fails here.  Raising a
-ceiling needs a measured reason in CHANGES.md.
+wheel 17.28, heap 18.27 calls/event; k-mer counting wheel 13.28, heap
+14.58.  Measured now: FM seeding 17.31 and 18.30, k-mer counting 13.29
+and 14.59.  Per-event counters are attribute tallies and cost no call;
+reading them back costs one ``pull`` hook call per owner scope per
+reader walk (about 830 hook and 1,360 ``float`` calls on the FM point,
+almost all from the ``Report``'s ``stats.total`` calls), a per-run cost
+that the FM point's 11,048 events spread to 0.2 calls/event.  A change
+that adds a frame to the per-request path fails here.  Raising a ceiling
+needs a measured reason in CHANGES.md.
 
 Per-k-mer hashing is under 2% of the k-mer point's calls (hashing each
 k-mer in Python gave 13.53 calls/event on the wheel), so its calls/event

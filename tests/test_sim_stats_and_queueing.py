@@ -48,8 +48,9 @@ class TestStatScope:
 
 
 class TestZeroDefaultCounters:
-    """``counters`` is a zero-default dict: hot paths write
-    ``counters[key] += n``, and reading never creates a key."""
+    """``counters`` is a zero-default dict: a first write creates a key,
+    and reading never creates one.  (Per-event counters are their owners'
+    tallies; ``tests/test_stat_tallies.py`` covers those.)"""
 
     def test_first_add_stores_a_float(self):
         scope = StatScope("root")
