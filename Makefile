@@ -23,8 +23,9 @@ bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 ## Static sanity: byte-compile everything, then the simulator-aware
-## static-analysis pass (determinism / cycle-safety / trace-discipline
-## lints; stdlib-only, see docs/ANALYSIS.md).  PYTHONHASHSEED=random
+## static-analysis pass (determinism lints: wall clock, RNG seeds,
+## set and id() order, and their transitive taint; stdlib-only, see
+## docs/ANALYSIS.md).  PYTHONHASHSEED=random
 ## proves the lint pass itself is hash-seed-independent.
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

@@ -3,25 +3,20 @@
 A self-contained, stdlib-only AST lint framework plus a rule set written
 for this codebase's determinism contract: no wall-clock reads in
 simulation code, explicit RNG seeds, no hash-order-dependent set
-iteration in the event-ordering layers, integer cycle arithmetic,
-non-negative schedule delays, trace categories drawn from the known
-registry, and the classic Python footguns (dict mutation during
-iteration, mutable default arguments, ``id()``-derived ordering).
+iteration and no ``id()``-derived ordering in the layers that feed
+fingerprinted results.
 
 On top of the per-file rules sits a whole-program layer
-(:mod:`repro.analysis.program`): every file is reduced to a module
-summary, the summaries are assembled into a project-wide symbol table
-and approximate call graph, and interprocedural rules — transitive
-wall-clock/RNG taint, sweep-job picklability, schema-id registry
-discipline, export/doc sync — run over the graph.  Their findings carry
-cross-file witness chains (report schema ``repro-lint/2``) and honour
-the same suppression comments.
+(:mod:`repro.analysis.program`): the files the per-file pass parsed are
+assembled into a project-wide symbol table and approximate call graph,
+and the transitive wall-clock/RNG taint rules run over the graph.  Their
+findings carry cross-file witness chains (report schema
+``repro-lint/2``) and honour the same suppression comments.
 
 Entry points:
 
 * ``python -m repro lint`` (see :mod:`repro.analysis.cli`) — the CLI,
-  wired into ``make lint`` and CI; ``--no-program`` skips the
-  whole-program layer.
+  wired into ``make lint`` and CI.
 * :func:`lint_paths` / :func:`lint_file` / :func:`lint_source` — the
   programmatic API; :data:`RULES` and :data:`PROGRAM_RULES` are the
   registries.
@@ -50,7 +45,7 @@ from repro.analysis.framework import (
 from repro.analysis import rules as _rules  # noqa: F401  (registers the rule set)
 from repro.analysis.rules import ORDERED_OUTPUT_DIRS, SIM_DIRS
 from repro.analysis import program as _program  # noqa: F401  (registers program rules)
-from repro.analysis.program import Project, summarize_source
+from repro.analysis.program import Project
 
 __all__ = [
     "BARE_SUPPRESSION",
@@ -72,5 +67,4 @@ __all__ = [
     "lint_source",
     "register",
     "register_program",
-    "summarize_source",
 ]

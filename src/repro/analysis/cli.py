@@ -5,7 +5,6 @@ Usage::
     python -m repro lint                      # per-file + whole-program rules
     python -m repro lint --json lint.json     # also write the machine report
     python -m repro lint --rule no-wall-clock # run a subset of rules
-    python -m repro lint --no-program         # per-file rules only
     python -m repro lint --list-rules         # what exists, with scopes
     python -m repro lint path/to/file.py dir/ # explicit targets
 
@@ -55,8 +54,6 @@ def add_arguments(parser) -> None:
                         metavar="ID", default=None,
                         help="run only this rule (repeatable); "
                              "default: all rules")
-    parser.add_argument("--no-program", action="store_true",
-                        help="skip the whole-program (call-graph) rules")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--show-suppressed", action="store_true",
@@ -83,8 +80,7 @@ def run(args, parser) -> int:
         if missing:
             parser.error(f"no such file or directory: {missing}")
 
-    report = lint_paths(targets, rules=args.rules,
-                        program=not args.no_program)
+    report = lint_paths(targets, rules=args.rules)
 
     for finding in report.findings:
         if finding.suppressed:

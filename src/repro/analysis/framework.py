@@ -3,23 +3,27 @@
 The simulator's correctness contract — bit-identical results for a given
 configuration and workload — is enforced at runtime by the perf harness
 (``python -m repro bench``) and the profiler's fingerprint checks, but
-nothing *prevents* the bug classes that break it (wall-clock reads in
-simulation code, unseeded RNGs, hash-order-dependent set iteration, float
-drift on cycle counters).  This package is the static guardrail: a small
-AST-based lint pass with rules written specifically for this codebase, no
-third-party linter required.
+nothing *prevents* the bug classes that break it only on some hosts or
+hash seeds (wall-clock reads in simulation code, unseeded RNGs,
+hash-order-dependent set iteration, ``id()``-derived order).  This
+package is the static guardrail: a small AST-based lint pass with rules
+written specifically for this codebase, no third-party linter required.
 
 Architecture
 ------------
 * :func:`register` adds a :class:`Rule` to the global :data:`RULES`
   registry.  A rule is a callable ``check(module) -> iterable of
   (line, col, message)`` plus a *scope* predicate over repo-relative
-  paths, so e.g. the cycle-arithmetic rule only applies to timing
-  modules.  The built-in rule set lives in :mod:`repro.analysis.rules`.
-* :func:`lint_source` parses one file, runs every in-scope rule, and
-  resolves suppressions; :func:`lint_paths` walks directories and
-  aggregates a :class:`LintReport` with a stable, machine-readable
-  ``to_dict()`` form (schema :data:`LINT_SCHEMA`).
+  paths, so e.g. the set-iteration rule only applies to the
+  ordered-output layers.  The built-in rule set lives in
+  :mod:`repro.analysis.rules`.
+* :func:`parse_module` parses and tokenizes one file, once, into a
+  :class:`Module` that carries its suppression tables;
+  :func:`lint_source` runs every in-scope rule on it and resolves
+  suppressions; :func:`lint_paths` walks directories, hands the same
+  modules to the whole-program rules, and aggregates a
+  :class:`LintReport` with a stable, machine-readable ``to_dict()`` form
+  (schema :data:`LINT_SCHEMA`).
 * Suppressions are inline comments::
 
       risky_line()  # repro: allow[rule-id] -- why this one is safe
@@ -105,17 +109,66 @@ class Finding:
         return out
 
 
+@dataclass(frozen=True)
+class Suppression:
+    """A parsed ``# repro: allow[...]`` comment."""
+
+    rules: Tuple[str, ...]
+    reason: str
+    line: int
+    file_level: bool
+
+    def covers(self, rule_id: str) -> bool:
+        return "*" in self.rules or rule_id in self.rules
+
+
 @dataclass
 class Module:
-    """One parsed source file, as handed to every in-scope rule."""
+    """One parsed source file: handed to every in-scope per-file rule,
+    and, all files together, to the whole-program rules."""
 
     relpath: str
     source: str
     tree: ast.Module
-    #: ``line -> comment text`` (including the leading ``#``).
-    comments: Dict[int, str]
     #: Lines whose only content is a comment (suppression carriers).
     comment_only_lines: frozenset
+    #: ``line -> suppression`` for the line-level ``allow[...]`` comments.
+    suppressions: Dict[int, Suppression]
+    #: The ``allow-file[...]`` comments.
+    file_suppressions: Tuple[Suppression, ...]
+
+    def suppression(self, rule_id: str, line: int) -> Optional[Suppression]:
+        """The suppression covering ``rule_id`` at ``line``, if any: on the
+        line itself, in the comment block directly above it, or
+        file-level."""
+        supp = self.suppressions.get(line)
+        if supp is not None and supp.covers(rule_id):
+            return supp
+        # Walk upward through the contiguous block of comment-only lines
+        # directly above the finding, so a suppression whose explanation
+        # wraps onto several comment lines still applies.
+        above = line - 1
+        while above in self.comment_only_lines:
+            supp = self.suppressions.get(above)
+            if supp is not None and supp.covers(rule_id):
+                return supp
+            above -= 1
+        for supp in self.file_suppressions:
+            if supp.covers(rule_id):
+                return supp
+        return None
+
+    def finding(self, rule_id: str, line: int, col: int, message: str,
+                paths: Tuple[WitnessHop, ...] = ()) -> Finding:
+        """A :class:`Finding` here, marked suppressed when a comment
+        covers it."""
+        supp = self.suppression(rule_id, line)
+        return Finding(
+            rule_id, self.relpath, line, col, message,
+            suppressed=supp is not None,
+            reason=supp.reason if supp is not None else "",
+            paths=paths,
+        )
 
 
 RawFinding = Tuple[int, int, str]
@@ -241,19 +294,6 @@ _ALLOW_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Suppression:
-    """A parsed ``# repro: allow[...]`` comment."""
-
-    rules: Tuple[str, ...]
-    reason: str
-    line: int
-    file_level: bool
-
-    def covers(self, rule_id: str) -> bool:
-        return "*" in self.rules or rule_id in self.rules
-
-
 def _extract_comments(source: str) -> Tuple[Dict[int, str], frozenset]:
     comments: Dict[int, str] = {}
     comment_only: set = set()
@@ -268,14 +308,24 @@ def _extract_comments(source: str) -> Tuple[Dict[int, str], frozenset]:
     return comments, frozenset(comment_only)
 
 
-def _parse_suppressions(
-    comments: Dict[int, str],
-) -> Tuple[Dict[int, Suppression], List[Suppression], List[Finding]]:
-    """Split comments into line-level and file-level suppressions, plus
-    hygiene findings for unexplained or unknown-rule suppressions."""
+def parse_module(
+    source: str, relpath: str,
+) -> Tuple[Optional[Module], List[Finding]]:
+    """Parse and tokenize one file: its :class:`Module` (``None`` when it
+    does not parse) and the framework's own findings on it, a
+    ``parse-error`` or the ``bare-suppression`` hygiene hits for
+    unexplained or unknown-rule suppressions."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return None, [Finding(
+            PARSE_ERROR, relpath, exc.lineno or 1, exc.offset or 0,
+            f"syntax error: {exc.msg}",
+        )]
+    comments, comment_only = _extract_comments(source)
     by_line: Dict[int, Suppression] = {}
     file_level: List[Suppression] = []
-    hygiene: List[RawFinding] = []
+    hygiene: List[Finding] = []
     for line in sorted(comments):
         match = _ALLOW_RE.search(comments[line])
         if match is None:
@@ -290,54 +340,33 @@ def _parse_suppressions(
             line=line,
             file_level=match.group("file") is not None,
         )
+        messages = []
         if not ids:
-            hygiene.append((line, 0, "suppression names no rule ids"))
-        for rule_id in ids:
+            messages.append("suppression names no rule ids")
+        messages.extend(
+            f"suppression names unknown rule {rule_id!r}" for rule_id in ids
             if (rule_id != "*" and rule_id not in RULES
-                    and rule_id not in PROGRAM_RULES):
-                hygiene.append(
-                    (line, 0, f"suppression names unknown rule {rule_id!r}")
-                )
+                and rule_id not in PROGRAM_RULES)
+        )
         if len(supp.reason) < MIN_REASON_CHARS:
-            hygiene.append((
-                line, 0,
+            messages.append(
                 "suppression lacks an explanatory comment: write "
-                "'# repro: allow[rule-id] -- why this is safe'",
-            ))
+                "'# repro: allow[rule-id] -- why this is safe'"
+            )
+        hygiene.extend(
+            Finding(BARE_SUPPRESSION, relpath, line, 0, message)
+            for message in messages
+        )
         if supp.file_level:
             file_level.append(supp)
         else:
             by_line[line] = supp
-    findings = [
-        Finding(BARE_SUPPRESSION, "", line, col, message)
-        for line, col, message in hygiene
-    ]
-    return by_line, file_level, findings
-
-
-def _find_suppression(
-    rule_id: str,
-    line: int,
-    by_line: Dict[int, Suppression],
-    file_level: Sequence[Suppression],
-    comment_only: frozenset,
-) -> Optional[Suppression]:
-    supp = by_line.get(line)
-    if supp is not None and supp.covers(rule_id):
-        return supp
-    # Walk upward through the contiguous block of comment-only lines
-    # directly above the finding, so a suppression whose explanation
-    # wraps onto several comment lines still applies.
-    above = line - 1
-    while above in comment_only:
-        supp = by_line.get(above)
-        if supp is not None and supp.covers(rule_id):
-            return supp
-        above -= 1
-    for supp in file_level:
-        if supp.covers(rule_id):
-            return supp
-    return None
+    module = Module(
+        relpath=relpath, source=source, tree=tree,
+        comment_only_lines=comment_only,
+        suppressions=by_line, file_suppressions=tuple(file_level),
+    )
+    return module, hygiene
 
 
 # -- running the pass ----------------------------------------------------------
@@ -367,6 +396,27 @@ def _select_program_rules(
     ]
 
 
+def _lint_one(
+    source: str,
+    relpath: str,
+    rules: Optional[Sequence[str]],
+    selected: Sequence[Rule],
+) -> Tuple[Optional[Module], List[Finding]]:
+    """Parse one file and run the selected per-file rules on it."""
+    module, findings = parse_module(source, relpath)
+    if module is None:
+        return None, findings
+    if rules is not None:
+        # Suppression hygiene only runs with the full rule set: a filtered
+        # run (--rule X) should not complain about other rules' comments.
+        findings = []
+    for rule in selected:
+        if rule.scope(relpath):
+            for line, col, message in rule.check(module):
+                findings.append(module.finding(rule.id, line, col, message))
+    return module, findings
+
+
 def lint_source(
     source: str,
     relpath: str,
@@ -377,40 +427,7 @@ def lint_source(
     Returns every finding, suppressed ones included (marked); callers
     filter on :attr:`Finding.suppressed` for the pass/fail decision.
     """
-    selected = _select_rules(rules)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [Finding(
-            PARSE_ERROR, relpath, exc.lineno or 1, exc.offset or 0,
-            f"syntax error: {exc.msg}",
-        )]
-    comments, comment_only = _extract_comments(source)
-    module = Module(
-        relpath=relpath, source=source, tree=tree,
-        comments=comments, comment_only_lines=comment_only,
-    )
-    by_line, file_level, hygiene = _parse_suppressions(comments)
-    findings: List[Finding] = []
-    if rules is None:
-        # Suppression hygiene only runs with the full rule set: a filtered
-        # run (--rule X) should not complain about other rules' comments.
-        findings.extend(
-            Finding(f.rule, relpath, f.line, f.col, f.message)
-            for f in hygiene
-        )
-    for rule in selected:
-        if not rule.scope(relpath):
-            continue
-        for line, col, message in rule.check(module):
-            supp = _find_suppression(
-                rule.id, line, by_line, file_level, comment_only
-            )
-            findings.append(Finding(
-                rule.id, relpath, line, col, message,
-                suppressed=supp is not None,
-                reason=supp.reason if supp is not None else "",
-            ))
+    _, findings = _lint_one(source, relpath, rules, _select_rules(rules))
     findings.sort(key=Finding.sort_key)
     return findings
 
@@ -520,33 +537,16 @@ class LintReport:
         }
 
 
-def _find_api_doc(targets: Sequence[Path], base: Optional[Path]):
-    """Locate ``docs/API.md`` relative to the lint roots (or ``None``)."""
-    candidates: List[Path] = []
-    if base is not None:
-        candidates.extend([base, base.parent])
-    for target in targets:
-        directory = target if target.is_dir() else target.parent
-        candidates.extend([directory, directory.parent,
-                           directory.parent.parent])
-    for directory in candidates:
-        doc = Path(directory) / "docs" / "API.md"
-        if doc.is_file():
-            return doc
-    return None
-
-
 def lint_paths(
     paths: Optional[Sequence[Path]] = None,
     rules: Optional[Sequence[str]] = None,
-    *,
-    program: bool = True,
 ) -> LintReport:
     """Lint files/directories (default: the in-tree ``repro`` package).
 
-    ``program=True`` (the default) additionally runs the whole-program
-    rules in :data:`PROGRAM_RULES` over a project-wide call graph built
-    from every scanned file — see :mod:`repro.analysis.program`.
+    Each file is parsed once; the per-file rules run on its
+    :class:`Module`, then the whole-program rules in
+    :data:`PROGRAM_RULES` run over every parsed module together (see
+    :mod:`repro.analysis.program`).
     """
     if paths is None:
         root = default_root()
@@ -556,27 +556,25 @@ def lint_paths(
         targets = [Path(p) for p in paths]
         base = None
     selected_file_rules = _select_rules(rules)  # validates unknown ids too
-    selected_program = _select_program_rules(rules) if program else []
+    selected_program = _select_program_rules(rules)
 
     findings: List[Finding] = []
-    summaries: List[Tuple[str, Dict[str, object]]] = []
+    modules: List[Module] = []
     files_scanned = 0
     for path, owner in _iter_py_files(targets):
         files_scanned += 1
         relpath = _relpath_for(path, base, owner)
-        source = path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, relpath, rules=rules))
-        if selected_program:
-            from repro.analysis.program import summarize_source
-
-            summaries.append((relpath, summarize_source(source, relpath)))
+        module, file_findings = _lint_one(
+            path.read_text(encoding="utf-8"), relpath, rules,
+            selected_file_rules,
+        )
+        findings.extend(file_findings)
+        if module is not None:
+            modules.append(module)
     if selected_program:
         from repro.analysis.program import analyze
 
-        findings.extend(analyze(
-            summaries, selected_program,
-            api_doc=_find_api_doc(targets, base),
-        ))
+        findings.extend(analyze(modules, selected_program))
     findings.sort(key=Finding.sort_key)
     return LintReport(
         root=str(base if base is not None else Path.cwd()),

@@ -1,21 +1,13 @@
 """The built-in simulator-specific lint rules.
 
-Each rule targets a bug class that has historically broken deterministic
-cycle-level simulators (see docs/ANALYSIS.md for rationale and worked
-examples per rule):
+Each rule targets a determinism bug class that no test or runtime check
+catches on its own (see docs/ANALYSIS.md for rationale, worked examples,
+and the planted defect each one is kept for):
 
 ========================== ====================================================
 ``no-wall-clock``          wall-clock reads inside simulation code
 ``seeded-rng-only``        RNGs constructed without an explicit seed
 ``no-set-iteration-order`` hash-order-dependent set iteration in sim layers
-``int-cycle-arithmetic``   true division / ``float()`` on cycle counters
-``nonneg-schedule-delay``  negative or un-guarded delays to ``Engine.schedule``
-``trace-category-registry``non-literal / unknown trace categories at
-                           instrument sites
-``telemetry-event-registry`` non-literal / unknown ledger event names at
-                           emit sites
-``no-dict-mutation-in-iteration`` resizing a mapping while iterating it
-``no-mutable-default-arg`` shared mutable default arguments
 ``no-id-order``            ``id()`` (address-dependent) in ordering-sensitive
                            simulator layers
 ========================== ====================================================
@@ -27,8 +19,7 @@ are the framework's job (:mod:`repro.analysis.framework`).
 from __future__ import annotations
 
 import ast
-import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.framework import (
     Module,
@@ -37,8 +28,6 @@ from repro.analysis.framework import (
     in_dirs,
     register,
 )
-from repro.obs.recorder import TRACE_CATEGORIES
-from repro.obs.telemetry.ledger import LEDGER_EVENTS
 
 #: The event-ordering-sensitive simulator layers: everything that runs
 #: inside (or schedules onto) the discrete-event engine.
@@ -379,292 +368,6 @@ def check_set_iteration(module: Module) -> List[RawFinding]:
     for stmt in module.tree.body:
         scope.visit(stmt)
     return out
-
-
-# -- int-cycle-arithmetic ------------------------------------------------------
-
-_CYCLE_NAME = re.compile(r"(?:^|_)(?:cycles?|now|ts)$")
-
-
-def _cycle_operand(node: ast.AST) -> Optional[str]:
-    """A cycle-suffixed identifier inside an arithmetic expression, if
-    any — recurses through +/-/*/,// and unary ops so ``(a_cycles +
-    b_cycles) / 2`` is caught, not just ``a_cycles / 2``."""
-    name = _terminal_name(node)
-    if name is not None:
-        return name if _CYCLE_NAME.search(name) else None
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod)
-    ):
-        return _cycle_operand(node.left) or _cycle_operand(node.right)
-    if isinstance(node, ast.UnaryOp):
-        return _cycle_operand(node.operand)
-    return None
-
-
-@register(
-    "int-cycle-arithmetic",
-    "cycle counters are integers: use // not /, and never float(); "
-    "float derates belong in reporting code",
-    scope=in_dirs(*SIM_DIRS),
-    scope_note="sim/, dram/, cxl/, core/, memmgmt/",
-)
-def check_int_cycle_arithmetic(module: Module) -> Iterator[RawFinding]:
-    """Flag true division / float() on cycle-valued names in timing code."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            name = _cycle_operand(node.left) or _cycle_operand(node.right)
-            if name is not None:
-                yield (
-                    node.lineno, node.col_offset,
-                    f"true division on cycle-valued {name!r}: use // "
-                    "for cycle arithmetic (float results drift; only "
-                    "derived reporting metrics may divide, with a "
-                    "suppression explaining so)",
-                )
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Name)
-              and node.func.id == "float" and node.args):
-            name = _terminal_name(node.args[0])
-            if name is not None and _CYCLE_NAME.search(name):
-                yield (
-                    node.lineno, node.col_offset,
-                    f"float() applied to cycle-valued {name!r}: cycle "
-                    "counters must stay integral inside the simulator",
-                )
-
-
-# -- nonneg-schedule-delay -----------------------------------------------------
-
-#: Engine methods taking a *relative* delay as their first argument.
-#: ``schedule_cancellable`` (handle-returning) and ``reschedule``
-#: (handle-moving) share ``schedule``'s delay semantics, so the rule
-#: covers all three; ``schedule_at`` takes an absolute time and has its
-#: own in-engine guard.
-_DELAY_METHODS = frozenset({"schedule", "schedule_cancellable", "reschedule"})
-
-
-@register(
-    "nonneg-schedule-delay",
-    "delays passed to Engine.schedule/schedule_cancellable/reschedule "
-    "must be provably non-negative (no negative literals, no bare "
-    "subtraction)",
-)
-def check_schedule_delay(module: Module) -> Iterator[RawFinding]:
-    """Flag negative or un-guarded-subtraction delays passed to schedule()."""
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _DELAY_METHODS and node.args):
-            continue
-        delay = node.args[0]
-        if node.func.attr == "reschedule":
-            # reschedule(handle, delay): the delay is the second argument.
-            if len(node.args) < 2:
-                continue
-            delay = node.args[1]
-        if (isinstance(delay, ast.Constant)
-                and isinstance(delay.value, (int, float))
-                and delay.value < 0):
-            yield (
-                node.lineno, node.col_offset,
-                f"literal negative delay {delay.value!r} passed to "
-                "schedule(); the engine cannot travel back in time",
-            )
-        elif isinstance(delay, ast.UnaryOp) and isinstance(delay.op, ast.USub):
-            yield (
-                node.lineno, node.col_offset,
-                "negated delay passed to schedule(); delays must be "
-                "non-negative",
-            )
-        elif isinstance(delay, ast.BinOp) and isinstance(delay.op, ast.Sub):
-            yield (
-                node.lineno, node.col_offset,
-                "un-guarded subtraction passed to schedule(); wrap in "
-                "max(0, ...) or guard explicitly so the delay cannot go "
-                "negative",
-            )
-
-
-# -- trace-category-registry ---------------------------------------------------
-
-_RECORDER_METHODS = frozenset({
-    "complete", "instant", "counter", "async_begin", "async_end",
-})
-
-
-def _looks_like_recorder(node: ast.AST) -> bool:
-    name = _terminal_name(node)
-    return name is not None and ("tracer" in name or "recorder" in name)
-
-
-@register(
-    "trace-category-registry",
-    "trace categories at instrument sites must be string literals from "
-    "repro.obs.TRACE_CATEGORIES",
-)
-def check_trace_categories(module: Module) -> Iterator[RawFinding]:
-    """Require literal, registry-known categories at instrument sites."""
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _RECORDER_METHODS
-                and _looks_like_recorder(node.func.value)
-                and node.args):
-            continue
-        cat = node.args[0]
-        if not (isinstance(cat, ast.Constant) and isinstance(cat.value, str)):
-            yield (
-                node.lineno, node.col_offset,
-                f"trace category passed to {node.func.attr}() must be a "
-                "string literal so the profiler's stitcher can rely on the "
-                "registry",
-            )
-        elif cat.value not in TRACE_CATEGORIES:
-            yield (
-                node.lineno, node.col_offset,
-                f"unknown trace category {cat.value!r}; known categories: "
-                f"{', '.join(TRACE_CATEGORIES)} (extend "
-                "repro.obs.recorder.TRACE_CATEGORIES first)",
-            )
-
-
-# -- telemetry-event-registry --------------------------------------------------
-
-def _looks_like_ledger(node: ast.AST) -> bool:
-    name = _terminal_name(node)
-    return name is not None and ("ledger" in name or "writer" in name)
-
-
-@register(
-    "telemetry-event-registry",
-    "ledger event names at emit sites must be string literals from "
-    "repro.obs.telemetry.LEDGER_EVENTS",
-)
-def check_ledger_events(module: Module) -> Iterator[RawFinding]:
-    """Require literal, registry-known event names at ledger emit sites.
-
-    The run ledger's value is that any campaign is reconstructable after
-    the fact, which only holds if the event vocabulary is closed: a
-    computed or unregistered name at an ``emit()`` site would produce
-    lines ``read_ledger``/``status`` cannot classify.  Same discipline as
-    ``trace-category-registry``, applied to the fleet-telemetry layer.
-    """
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emit"
-                and _looks_like_ledger(node.func.value)
-                and node.args):
-            continue
-        event = node.args[0]
-        if not (isinstance(event, ast.Constant)
-                and isinstance(event.value, str)):
-            yield (
-                node.lineno, node.col_offset,
-                "ledger event passed to emit() must be a string literal so "
-                "the ledger's event vocabulary stays closed and "
-                "machine-checkable",
-            )
-        elif event.value not in LEDGER_EVENTS:
-            yield (
-                node.lineno, node.col_offset,
-                f"unknown ledger event {event.value!r}; registered events: "
-                f"{', '.join(LEDGER_EVENTS)} (extend "
-                "repro.obs.telemetry.ledger.LEDGER_EVENTS first)",
-            )
-
-
-# -- no-dict-mutation-in-iteration ---------------------------------------------
-
-_CONTAINER_MUTATORS = frozenset({
-    "pop", "popitem", "clear", "update", "setdefault",
-    "add", "discard", "remove",
-})
-
-
-@register(
-    "no-dict-mutation-in-iteration",
-    "do not resize a mapping/set while iterating it; collect changes "
-    "first or iterate a copy",
-)
-def check_dict_mutation(module: Module) -> Iterator[RawFinding]:
-    """Flag resizing a mapping/set while iterating that same container."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.For):
-            continue
-        container = node.iter
-        if (isinstance(container, ast.Call)
-                and isinstance(container.func, ast.Attribute)
-                and container.func.attr in ("items", "keys", "values")
-                and not container.args):
-            container = container.func.value
-        key = _dotted(container)
-        if key is None:
-            continue
-        for stmt in node.body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        if (isinstance(target, ast.Subscript)
-                                and _dotted(target.value) == key):
-                            yield (
-                                sub.lineno, sub.col_offset,
-                                f"assignment into {key!r} while iterating "
-                                "it can resize the container mid-loop",
-                            )
-                elif isinstance(sub, ast.Delete):
-                    for target in sub.targets:
-                        if (isinstance(target, ast.Subscript)
-                                and _dotted(target.value) == key):
-                            yield (
-                                sub.lineno, sub.col_offset,
-                                f"del on {key!r} while iterating it",
-                            )
-                elif (isinstance(sub, ast.Call)
-                      and isinstance(sub.func, ast.Attribute)
-                      and sub.func.attr in _CONTAINER_MUTATORS
-                      and _dotted(sub.func.value) == key):
-                    yield (
-                        sub.lineno, sub.col_offset,
-                        f"{key}.{sub.func.attr}() while iterating {key!r}",
-                    )
-
-
-# -- no-mutable-default-arg ----------------------------------------------------
-
-_MUTABLE_FACTORIES = frozenset({
-    "list", "dict", "set", "bytearray", "defaultdict", "deque",
-    "Counter", "OrderedDict",
-})
-
-
-@register(
-    "no-mutable-default-arg",
-    "mutable default arguments are shared across calls (and across "
-    "simulated systems); default to None and build inside",
-)
-def check_mutable_defaults(module: Module) -> Iterator[RawFinding]:
-    """Flag mutable default arguments (one instance shared across calls)."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            continue
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            mutable = isinstance(default, (ast.List, ast.Dict, ast.Set))
-            if (isinstance(default, ast.Call)
-                    and isinstance(default.func, ast.Name)
-                    and default.func.id in _MUTABLE_FACTORIES):
-                mutable = True
-            if mutable:
-                yield (
-                    default.lineno, default.col_offset,
-                    "mutable default argument: one instance is shared by "
-                    "every call; use None and construct in the body",
-                )
 
 
 # -- no-id-order ---------------------------------------------------------------

@@ -42,6 +42,14 @@ from repro.memmgmt.placement import PlacementPlanner
 from repro.sim.component import Component
 from repro.sim.engine import Engine, SimulationError
 
+#: The counters a :class:`Report` sums over the whole statistics tree.
+_REPORT_KEYS = (
+    "energy_act_nj", "energy_rw_nj", "energy_refresh_nj",
+    "energy_background_nj", "energy_pj", "mem_requests", "wire_bytes",
+    "useful_bytes", "local_requests", "detour_messages",
+    "in_switch_turnarounds",
+)
+
 
 class BeaconSystem:
     """One simulated accelerator system (base for BEACON-D / BEACON-S)."""
@@ -151,14 +159,14 @@ class BeaconSystem:
         end = self.engine.now
         for dimm in self.pool.dimms:
             dimm.energy.finalize(end)
-        stats = self.root.stats
+        totals = self.root.stats.totals(_REPORT_KEYS)
         dram_nj = (
-            stats.total("energy_act_nj")
-            + stats.total("energy_rw_nj")
-            + stats.total("energy_refresh_nj")
-            + stats.total("energy_background_nj")
+            totals["energy_act_nj"]
+            + totals["energy_rw_nj"]
+            + totals["energy_refresh_nj"]
+            + totals["energy_background_nj"]
         )
-        comm_nj = stats.total("energy_pj") / 1000.0
+        comm_nj = totals["energy_pj"] / 1000.0
         busy = sum(m.pes.total_compute_cycles for m in self.ndp_modules)
         num_pes = sum(m.pes.num_pes for m in self.ndp_modules)
         compute_nj = PE_HARDWARE[self.pe_hw_key].compute_energy_nj(
@@ -176,16 +184,16 @@ class BeaconSystem:
             energy_comm_nj=comm_nj,
             energy_compute_nj=compute_nj,
             tasks_completed=tasks_completed,
-            mem_requests=int(stats.total("mem_requests")),
-            wire_bytes=stats.total("wire_bytes"),
-            useful_bytes=stats.total("useful_bytes"),
+            mem_requests=int(totals["mem_requests"]),
+            wire_bytes=totals["wire_bytes"],
+            useful_bytes=totals["useful_bytes"],
             extra={
                 "pe_utilization": float(np.mean(
                     [m.pes.utilization(end) for m in self.ndp_modules]
                 )) if self.ndp_modules else 0.0,
-                "local_requests": stats.total("local_requests"),
-                "host_detours": stats.total("detour_messages"),
-                "in_switch_turnarounds": stats.total("in_switch_turnarounds"),
+                "local_requests": totals["local_requests"],
+                "host_detours": totals["detour_messages"],
+                "in_switch_turnarounds": totals["in_switch_turnarounds"],
                 "dram_activations": float(sum(
                     d.total_activations for d in self.pool.dimms
                 )),

@@ -48,11 +48,8 @@ class PePool(Component):
             return
         self._fold_algorithm()
         counters = self.stats.counters
-        # repro: allow[int-cycle-arithmetic] -- the reporting copy of the
-        # int tally; timing never reads it back.
         counters["compute_cycles"] = float(self.compute_cycles)
         for algorithm, cycles in self._cycles_by_algorithm.items():
-            # repro: allow[int-cycle-arithmetic] -- as above, per algorithm.
             counters[f"compute_cycles.{algorithm.value}"] = float(cycles)
 
     def _account(self) -> None:
@@ -114,6 +111,4 @@ class PePool(Component):
         if end_cycle <= 0:
             return 0.0
         area = self._busy_area + self.busy * (end_cycle - self._last_change)
-        # repro: allow[int-cycle-arithmetic] -- derived reporting metric: a
-        # post-run float utilization for reports, never fed back into timing.
         return area / (self.num_pes * end_cycle)

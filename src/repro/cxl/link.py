@@ -91,14 +91,10 @@ class Link(Component):
             counters["wire_bytes"] = float(self.wire_bytes)
             counters["energy_pj"] = self.energy_pj
             if not self.params.ideal:
-                # repro: allow[int-cycle-arithmetic] -- the reporting copy
-                # of the int tally; timing never reads it back.
                 counters["busy_cycles"] = float(self.busy_cycles)
 
     def utilization(self, end_cycle: int) -> float:
         """Fraction of cycles spent serializing, up to ``end_cycle``."""
         if end_cycle <= 0:
             return 0.0
-        # repro: allow[int-cycle-arithmetic] -- derived reporting metric: a
-        # post-run float fraction for reports, never fed back into timing.
         return min(1.0, self.stats.get("busy_cycles") / end_cycle)

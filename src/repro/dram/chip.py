@@ -56,8 +56,8 @@ class ChipAccessCounters:
         Float arithmetic is deliberate here and in :meth:`imbalance`: these
         are post-run *statistics over burst counts* (a normalized series and
         a coefficient of variation), not cycle timing — nothing downstream
-        schedules events from them, so the int-cycle-arithmetic determinism
-        contract does not apply.
+        schedules events from them, so integer cycle arithmetic does not
+        apply.
         """
         totals = np.asarray(self.per_chip(), dtype=np.float64)
         mean = totals.mean()

@@ -8,9 +8,9 @@ memory-management operations — with timestamps in simulated time, and a
 :class:`MetricsSampler` snapshots :class:`~repro.sim.stats.StatScope`
 counters at a configurable simulated-time interval.  Exporters write
 Chrome/Perfetto ``trace_event`` JSON (open in https://ui.perfetto.dev or
-``chrome://tracing``) and metric samples as CSV or JSON (identical rows
-either way).  The fleet-level counterpart — cross-run job ledger, metrics
-registry, progress line — lives in :mod:`repro.obs.telemetry`.
+``chrome://tracing``) and metric samples as CSV.  The fleet-level
+counterpart — cross-run job ledger, progress line — lives in
+:mod:`repro.obs.telemetry`.
 
 Tracing is purely observational: instrument sites only *read* simulator
 state and never schedule events, so simulated cycle counts and energy
@@ -43,7 +43,6 @@ from repro.obs.metrics import (
     MetricsSample,
     MetricsSampler,
     write_metrics_csv,
-    write_metrics_json,
 )
 from repro.obs.profile import (
     PROFILE_SCHEMA,
@@ -101,5 +100,4 @@ __all__ = [
     "write_chrome_trace",
     "write_flamegraph",
     "write_metrics_csv",
-    "write_metrics_json",
 ]

@@ -23,11 +23,6 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Dict, Iterable, List, Optional, Union
 
-from repro.schemas import SCHEMAS
-
-#: Version tag of the per-interval samples artifact (:meth:`MetricsSampler.to_json`).
-METRICS_SAMPLES_SCHEMA = SCHEMAS["metrics-samples"]
-
 
 @dataclass(frozen=True)
 class MetricsSample:
@@ -94,37 +89,13 @@ class MetricsSampler:
         return len(self.samples)
 
     def rows(self) -> List[List[Union[int, str, float]]]:
-        """Every sample as a flat ``[cycle, pid, path, key, value]`` row.
-
-        This is the **single source of row order** for every export:
-        samples appear exactly as taken (snapshot order along the
-        timeline), so the CSV and JSON forms of one sampler are
-        row-for-row identical.
-        """
+        """Every sample as a flat ``[cycle, pid, path, key, value]`` row,
+        exactly as taken (snapshot order along the timeline)."""
         return [[s.cycle, s.pid, s.path, s.key, s.value]
                 for s in self.samples]
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """The samples as a JSON document (``repro-metrics-samples/1``).
 
-        Shares :meth:`rows` with :func:`write_metrics_csv`, so the JSON
-        ``rows`` array carries the same values in the same order as the
-        CSV body; ``columns`` names them.
-        """
-        import json
-
-        return json.dumps(
-            {
-                "schema": METRICS_SAMPLES_SCHEMA,
-                "columns": list(METRICS_COLUMNS),
-                "interval_cycles": self.interval_cycles,
-                "rows": self.rows(),
-            },
-            indent=indent, sort_keys=True,
-        )
-
-
-#: Export column order, shared by the CSV header and the JSON ``columns``.
+#: Export column order: the CSV header.
 METRICS_COLUMNS = ("cycle", "pid", "path", "key", "value")
 
 
@@ -135,9 +106,7 @@ def write_metrics_csv(
 
     Columns: ``cycle, pid, path, key, value`` — one row per sampled
     counter per snapshot, trivially loadable with pandas or a
-    spreadsheet.  Rows come from :meth:`MetricsSampler.rows`, the same
-    source :meth:`MetricsSampler.to_json` exports, so the two formats
-    always agree.
+    spreadsheet.  Rows come from :meth:`MetricsSampler.rows`.
     """
     def _write(handle: IO[str]) -> int:
         writer = csv.writer(handle)
@@ -151,15 +120,3 @@ def write_metrics_csv(
             return _write(handle)
     return _write(destination)
 
-
-def write_metrics_json(
-    sampler: MetricsSampler, destination: Union[str, IO[str]]
-) -> int:
-    """Write :meth:`MetricsSampler.to_json` to a file; returns row count."""
-    text = sampler.to_json()
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        destination.write(text + "\n")
-    return sampler.sample_count

@@ -13,10 +13,7 @@ traceback — and a resumable-sweep layer can diff the ledger's
 ``finished`` set against a job list to find the remainder.
 
 Event names form a **closed registry** (:data:`LEDGER_EVENTS`), enforced
-both at runtime (:meth:`LedgerWriter.emit` rejects unknown names) and
-statically (the ``telemetry-event-registry`` lint rule requires emit
-sites to pass a literal, registered name — the exact discipline the
-trace-category registry applies to instrument sites).
+at runtime: :meth:`LedgerWriter.emit` rejects unknown names.
 
 Ledger line fields (all lines)::
 
@@ -54,8 +51,8 @@ LEDGER_SCHEMA = SCHEMAS["ledger"]
 #: The closed event-name registry.  ``queued``/``started``/``heartbeat``/
 #: ``finished``/``failed`` are per-job lifecycle; ``campaign-begin`` /
 #: ``campaign-end`` bracket one runner batch.  Extend this tuple (and the
-#: docs table) before emitting a new event name — the
-#: ``telemetry-event-registry`` lint enforces it.
+#: docs table) before emitting a new event name — :meth:`LedgerWriter.emit`
+#: rejects any other.
 LEDGER_EVENTS: Tuple[str, ...] = (
     "campaign-begin",
     "queued",

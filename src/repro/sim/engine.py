@@ -127,8 +127,6 @@ class Engine:
                 "events_enqueued": totals["events_enqueued"],
                 "cycles_started": cycles,
                 "max_batch": totals["max_batch"],
-                # repro: allow[int-cycle-arithmetic] -- derived reporting
-                # ratio for the bench payload; never feeds back into timing.
                 "avg_batch": totals["events_enqueued"] / cycles if cycles else 0.0,
             }
         return report

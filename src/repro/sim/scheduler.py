@@ -148,8 +148,6 @@ class Scheduler:
             "events_enqueued": self.events_enqueued,
             "cycles_started": cycles,
             "max_batch": self.max_batch,
-            # repro: allow[int-cycle-arithmetic] -- post-run reporting
-            # ratio for the bench report; never feeds back into timing.
             "avg_batch": (self.events_enqueued / cycles) if cycles else 0.0,
         }
 

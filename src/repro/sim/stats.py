@@ -10,19 +10,20 @@ energies, each added in event order) and installs a read hook on its
 scope, :attr:`StatScope.pull`, which writes those tallies into
 ``counters`` as the floats repeated :meth:`add` calls would have left
 there, creating exactly the keys those calls would have created.  Every
-reader runs the hook first: :meth:`get`, :meth:`total`, :meth:`walk`
+reader runs the hook first: :meth:`get`, :meth:`totals`, :meth:`walk`
 (and so the metrics sampler, which walks the tree) and :meth:`as_dict`.
 Read through those, never through a ``counters`` subscript, which neither
 pulls nor leaves a missing key missing.  The experiment harness
-aggregates counters across subtrees with :meth:`StatScope.total`, which
-is how, for example, total DRAM energy is summed over every bank of
-every DIMM in a pool.
+aggregates counters across subtrees with :meth:`StatScope.totals` (one
+walk for several keys; :meth:`StatScope.total` for one), which is how,
+for example, total DRAM energy is summed over every bank of every DIMM
+in a pool.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, DefaultDict, Dict, Iterator, Optional
+from typing import Callable, DefaultDict, Dict, Iterator, Optional, Sequence
 
 
 class StatScope:
@@ -81,7 +82,22 @@ class StatScope:
 
     def total(self, key: str) -> float:
         """Sum of counter ``key`` over this scope and all descendants."""
-        return sum(scope.counters.get(key, 0.0) for scope in self.walk())
+        return self.totals((key,))[key]
+
+    def totals(self, keys: Sequence[str]) -> Dict[str, float]:
+        """Sum of each counter in ``keys`` over this scope and all
+        descendants, in one walk (so one pull per scope).
+
+        Each sum starts at ``0`` and adds its scopes' values in walk
+        order, as ``sum`` over the walk would.
+        """
+        sums: Dict[str, float] = dict.fromkeys(keys, 0)
+        names = tuple(sums)
+        for scope in self.walk():
+            counters = scope.counters
+            for key in names:
+                sums[key] += counters.get(key, 0.0)
+        return sums
 
     # -- reporting -----------------------------------------------------------
 

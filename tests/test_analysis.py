@@ -22,7 +22,6 @@ from repro.analysis import (
     lint_paths,
     lint_source,
 )
-from repro.obs.recorder import TRACE_CATEGORIES
 
 
 def lint_cli(argv):
@@ -80,74 +79,6 @@ RULE_FIXTURES = {
             ready = set(pending)
             for task in sorted(ready):
                 task.run()
-        """,
-    ),
-    "int-cycle-arithmetic": (
-        """
-        def halfway(start_cycles, end_cycles):
-            return (start_cycles + end_cycles) / 2
-        """,
-        """
-        def halfway(start_cycles, end_cycles):
-            return (start_cycles + end_cycles) // 2
-        """,
-    ),
-    "nonneg-schedule-delay": (
-        """
-        def kick(engine, due):
-            engine.schedule(due - engine.now, lambda: None)
-        """,
-        """
-        def kick(engine, due):
-            engine.schedule(max(0, due - engine.now), lambda: None)
-        """,
-    ),
-    "trace-category-registry": (
-        """
-        def emit(tracer, path, now):
-            tracer.instant("dramm", "oops", path, now)
-        """,
-        """
-        def emit(tracer, path, now):
-            tracer.instant("dram", "ok", path, now)
-        """,
-    ),
-    "telemetry-event-registry": (
-        """
-        def record(writer, job):
-            writer.emit("job-exploded", job=job)
-        """,
-        """
-        def record(writer, job):
-            writer.emit("failed", job=job)
-        """,
-    ),
-    "no-dict-mutation-in-iteration": (
-        """
-        def prune(table):
-            for key, value in table.items():
-                if value is None:
-                    table.pop(key)
-        """,
-        """
-        def prune(table):
-            dead = [k for k, v in table.items() if v is None]
-            for key in dead:
-                table.pop(key)
-        """,
-    ),
-    "no-mutable-default-arg": (
-        """
-        def enqueue(item, queue=[]):
-            queue.append(item)
-            return queue
-        """,
-        """
-        def enqueue(item, queue=None):
-            if queue is None:
-                queue = []
-            queue.append(item)
-            return queue
         """,
     ),
     "no-id-order": (
@@ -275,57 +206,6 @@ class TestRuleDetails:
         """
         assert "no-set-iteration-order" in active_rules(src)
 
-    def test_cycle_division_only_on_cycle_names(self):
-        src = """
-        def ratio(hits, misses):
-            return hits / (hits + misses)
-        """
-        assert active_rules(src) == []
-
-    def test_float_on_cycles_flagged(self):
-        src = """
-        def to_ns(total_cycles, tck):
-            return float(total_cycles) * tck
-        """
-        assert "int-cycle-arithmetic" in active_rules(src)
-
-    def test_negative_literal_delay(self):
-        src = """
-        def rewind(engine):
-            engine.schedule(-1, lambda: None)
-        """
-        assert "nonneg-schedule-delay" in active_rules(src)
-
-    def test_trace_category_must_be_literal(self):
-        src = """
-        def emit(tracer, cat, path, now):
-            tracer.instant(cat, "x", path, now)
-        """
-        assert "trace-category-registry" in active_rules(src)
-
-    def test_known_categories_accepted(self):
-        for cat in TRACE_CATEGORIES:
-            src = f"""
-            def emit(tracer, path, now):
-                tracer.complete({cat!r}, "x", path, now, 1)
-            """
-            assert active_rules(src) == [], cat
-
-    def test_non_recorder_receivers_ignored(self):
-        src = """
-        def finish(request, engine):
-            request.complete(engine.now)
-        """
-        assert active_rules(src) == []
-
-    def test_del_during_iteration_flagged(self):
-        src = """
-        def prune(table):
-            for key in table:
-                del table[key]
-        """
-        assert "no-dict-mutation-in-iteration" in active_rules(src)
-
     def test_parse_error_reported(self):
         findings = findings_for("def broken(:\n    pass\n")
         assert [f.rule for f in findings] == [PARSE_ERROR]
@@ -333,44 +213,51 @@ class TestRuleDetails:
 
 class TestSuppressions:
     BAD_WITH_SUPPRESSION = """
-    def halfway(start_cycles, end_cycles):
-        # repro: allow[int-cycle-arithmetic] -- derived reporting metric only.
-        return (start_cycles + end_cycles) / 2
+    import time
+
+    def stamp():
+        # repro: allow[no-wall-clock] -- host-side telemetry stamp only.
+        return time.time()
     """
 
     def test_line_suppression_applies(self):
         findings = findings_for(self.BAD_WITH_SUPPRESSION)
-        assert [f.rule for f in findings] == ["int-cycle-arithmetic"]
+        assert [f.rule for f in findings] == ["no-wall-clock"]
         assert findings[0].suppressed
-        assert "derived reporting metric" in findings[0].reason
+        assert "host-side telemetry" in findings[0].reason
 
     def test_same_line_suppression(self):
         src = """
-        def halfway(a_cycles, b_cycles):
-            return (a_cycles + b_cycles) / 2  # repro: allow[int-cycle-arithmetic] -- reporting only.
+        import time
+
+        def stamp():
+            return time.time()  # repro: allow[no-wall-clock] -- telemetry only.
         """
         findings = findings_for(src)
-        assert all(f.suppressed for f in findings)
+        assert findings and all(f.suppressed for f in findings)
 
     def test_multiline_comment_block_suppression(self):
         src = """
-        def halfway(a_cycles, b_cycles):
-            # repro: allow[int-cycle-arithmetic] -- reporting-only metric,
-            # never fed back into event scheduling.
-            return (a_cycles + b_cycles) / 2
+        import time
+
+        def stamp():
+            # repro: allow[no-wall-clock] -- host-side telemetry stamp,
+            # never fed back into simulated state.
+            return time.time()
         """
         findings = findings_for(src)
-        assert all(f.suppressed for f in findings)
+        assert findings and all(f.suppressed for f in findings)
 
     def test_file_level_suppression(self):
         src = """
-        # repro: allow-file[int-cycle-arithmetic] -- this whole module is reporting.
+        # repro: allow-file[no-wall-clock] -- this whole module is telemetry.
+        import time
 
-        def halfway(a_cycles, b_cycles):
-            return (a_cycles + b_cycles) / 2
+        def stamp():
+            return time.time()
 
-        def quarter(a_cycles):
-            return a_cycles / 4
+        def elapsed(start):
+            return time.perf_counter() - start
         """
         findings = findings_for(src)
         assert len(findings) == 2
@@ -378,19 +265,25 @@ class TestSuppressions:
 
     def test_suppression_only_covers_named_rule(self):
         src = """
-        def kick(engine, due_cycles):
-            # repro: allow[nonneg-schedule-delay] -- guarded by the caller.
-            engine.schedule(due_cycles - engine.now, lambda: None)
+        import random
+        import time
+
+        def jitter():
+            # repro: allow[no-wall-clock] -- host-side telemetry only.
+            return time.time() + random.random()
         """
         findings = findings_for(src)
         by_rule = {f.rule: f for f in findings}
-        assert by_rule["nonneg-schedule-delay"].suppressed
+        assert by_rule["no-wall-clock"].suppressed
+        assert not by_rule["seeded-rng-only"].suppressed
 
     def test_bare_suppression_is_reported(self):
         src = """
-        def halfway(a_cycles, b_cycles):
-            # repro: allow[int-cycle-arithmetic]
-            return (a_cycles + b_cycles) / 2
+        import time
+
+        def stamp():
+            # repro: allow[no-wall-clock]
+            return time.time()
         """
         rules = active_rules(src)
         assert BARE_SUPPRESSION in rules
@@ -403,11 +296,13 @@ class TestSuppressions:
 
     def test_rule_filter_skips_hygiene(self):
         src = """
-        def halfway(a_cycles, b_cycles):
-            # repro: allow[int-cycle-arithmetic]
-            return (a_cycles + b_cycles) / 2
+        import time
+
+        def stamp():
+            # repro: allow[no-wall-clock]
+            return time.time()
         """
-        rules = active_rules(src, rules=["no-wall-clock"])
+        rules = active_rules(src, rules=["seeded-rng-only"])
         assert rules == []
 
 
@@ -460,18 +355,18 @@ class TestCli:
 
     def test_json_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text("def f(x=[]):\n    return x\n")
+        bad.write_text("import random\nRNG = random.Random()\n")
         out_file = tmp_path / "lint.json"
         assert lint_cli([str(bad), "--json", str(out_file)]) == 1
         payload = json.loads(out_file.read_text())
         assert payload["schema"] == LINT_SCHEMA
-        assert payload["findings"][0]["rule"] == "no-mutable-default-arg"
+        assert payload["findings"][0]["rule"] == "seeded-rng-only"
 
     def test_rule_filter(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text("def f(x=[]):\n    return x\n")
+        bad.write_text("import random\nRNG = random.Random()\n")
         assert lint_cli([str(bad), "--rule", "no-wall-clock"]) == 0
-        assert lint_cli([str(bad), "--rule", "no-mutable-default-arg"]) == 1
+        assert lint_cli([str(bad), "--rule", "seeded-rng-only"]) == 1
 
     def test_unknown_rule_errors(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -525,5 +420,9 @@ class TestLiveTreeIsClean:
         """The audited deliberate patterns stay suppressed (not deleted)."""
         report = lint_paths()
         suppressed = {(f.path, f.rule) for f in report.suppressed}
-        assert ("repro/sim/scheduler.py", "int-cycle-arithmetic") in suppressed
-        assert ("repro/cxl/link.py", "int-cycle-arithmetic") in suppressed
+        assert ("repro/experiments/parallel.py", "no-wall-clock") in suppressed
+        assert ("repro/genomics/index_cache.py", "no-wall-clock") in suppressed
+        assert ("repro/cxl/packer.py", "no-set-iteration-order") in suppressed
+        assert (
+            "repro/experiments/parallel.py", "transitive-wall-clock"
+        ) in suppressed

@@ -1,8 +1,12 @@
 """Meta-tests for the scenario layer (repro.experiments.scenarios)."""
 
+import pathlib
+import pickle
+
 import pytest
 
 from repro.experiments import ExperimentScale, ParallelSweepRunner
+from repro.experiments.dsl import load_scenario_file
 from repro.experiments.scenarios import (
     SCENARIOS,
     ScenarioSpec,
@@ -16,6 +20,8 @@ from repro.experiments.scenarios import (
 from tests.conftest import walk_reports
 
 ensure_registered()
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 #: Scenarios whose result objects carry no Report (they publish counter
 #: profiles / energy shares instead); checked via their own payloads.
@@ -57,6 +63,25 @@ class TestCatalogue:
     def test_get_scenario_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             get_scenario("fig99")
+
+    @pytest.mark.parametrize("source", sorted(SCENARIOS) + sorted(
+        path.name for path in EXAMPLES.glob("*.yaml")
+    ))
+    def test_quick_jobs_round_trip_through_pickle(self, source):
+        # Pool workers receive each job pickled, its callable by
+        # reference.  A lambda or nested def does not pickle, and the
+        # runner then falls back to serial with only a warning, so the
+        # campaign stays correct but silently loses its fan-out.
+        if source in SCENARIOS:
+            spec = SCENARIOS[source]
+        else:
+            spec = load_scenario_file(str(EXAMPLES / source))
+        jobs = list(spec.build_jobs(ExperimentScale.quick()))
+        assert jobs, source
+        for job in jobs:
+            clone = pickle.loads(pickle.dumps(job))
+            assert clone.key == job.key
+            assert clone.func is job.func, job.key
 
     def test_register_collision_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

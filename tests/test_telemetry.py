@@ -61,7 +61,7 @@ def test_ledger_round_trip_and_merge(tmp_path):
 def test_ledger_rejects_unregistered_event_names(tmp_path):
     writer = LedgerWriter(str(tmp_path / "runs.jsonl"))
     with pytest.raises(LedgerError, match="unknown ledger event"):
-        writer.emit("job-exploded", job="a")  # repro: allow[telemetry-event-registry] -- the rejection under test
+        writer.emit("job-exploded", job="a")
     writer.close()
 
 
