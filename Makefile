@@ -10,10 +10,9 @@ PYTHONPATH := src
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-## Result verifier at quick scale: runs every figure on the production
-## path and on the serial/uncached/heap reference path with every
-## observer on, fails on any digest mismatch, and rewrites the
-## deterministic BENCH_results.json (any git diff = a changed output).
+## Re-records BENCH_results.json: simulates every figure once at quick
+## scale and writes the deterministic result digests (any git diff = a
+## changed output).  Tier-1 (`make test`) checks the committed file.
 ## Host time is measured by `python3 bench/run.py`.
 bench-quick:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench

@@ -1,4 +1,4 @@
-"""Whole-program analysis: the call graph behind the transitive taint rules.
+"""Whole-program analysis: the call graph behind the transitive taint rule.
 
 The per-file rules in :mod:`repro.analysis.rules` see one module at a
 time, so a wall-clock read hidden two calls deep in a "utility" module
@@ -7,7 +7,7 @@ the :class:`~repro.analysis.framework.Module` of every file the per-file
 pass already parsed, walks each tree once for its imports, functions
 (with their call sites and direct taint sources) and classes, and
 assembles a project-wide symbol table and approximate call graph that
-the two taint rules walk.
+the taint rule walks.
 
 Call-graph approximation (documented precision/soundness caveats in
 docs/ANALYSIS.md):
@@ -24,8 +24,10 @@ docs/ANALYSIS.md):
 * unresolvable calls produce no edge — the analysis under-approximates
   rather than false-positives.
 
-Rules registered here (into :data:`repro.analysis.framework.PROGRAM_RULES`):
-``transitive-wall-clock`` and ``transitive-unseeded-rng``.  Findings
+Rule registered here (into :data:`repro.analysis.framework.PROGRAM_RULES`):
+``transitive-wall-clock``.  (Unseeded RNG use needs no transitive twin:
+``seeded-rng-only`` scans every file, so it already flags every root a
+call chain could reach.)  Findings
 carry a cross-file ``paths`` witness chain (schema ``repro-lint/2``) and
 honour the same ``# repro: allow[rule-id]`` suppression comments as the
 per-file pass, resolved through each file's :class:`Module`.
@@ -48,8 +50,6 @@ from repro.analysis.framework import (
 )
 from repro.analysis.rules import (
     ORDERED_OUTPUT_DIRS,
-    _GLOBAL_NUMPY_FUNCS,
-    _GLOBAL_RANDOM_FUNCS,
     _WALL_CLOCK_CALLS,
     _canonical,
     _dotted,
@@ -147,10 +147,8 @@ class Function:
     line: int
     cls: Optional[str]
     calls: List[CallSite] = field(default_factory=list)
-    #: ``"wall"``/``"rng"`` -> ``[(line, canonical call)]`` direct sources.
-    taint: Dict[str, List[Tuple[int, str]]] = field(
-        default_factory=lambda: {"wall": [], "rng": []}
-    )
+    #: Direct wall-clock reads: ``[(line, canonical call)]``.
+    taint: List[Tuple[int, str]] = field(default_factory=list)
     #: Local name -> class name, from annotations and constructor calls.
     locals: Dict[str, str] = field(default_factory=dict)
 
@@ -228,21 +226,8 @@ class _FunctionVisitor(ast.NodeVisitor):
         canon = _canonical(node.func, self.imports)
         if canon is None:
             return
-        taint = self.func.taint
         if canon in _WALL_CLOCK_CALLS:
-            taint["wall"].append((node.lineno, canon))
-            return
-        unseeded = not node.args and not node.keywords
-        if canon in ("random.Random", "numpy.random.default_rng"):
-            if unseeded:
-                taint["rng"].append((node.lineno, canon))
-        elif canon.startswith("random."):
-            func = canon.split(".", 1)[1]
-            if "." not in func and func in _GLOBAL_RANDOM_FUNCS:
-                taint["rng"].append((node.lineno, canon))
-        elif canon.startswith("numpy.random."):
-            if canon.rsplit(".", 1)[1] in _GLOBAL_NUMPY_FUNCS:
-                taint["rng"].append((node.lineno, canon))
+            self.func.taint.append((node.lineno, canon))
 
 
 def _immediate_defs(node) -> List[ast.AST]:
@@ -314,7 +299,7 @@ def _summarize(source: Module) -> Unit:
             unit.classes[node.name] = (frozenset(methods), bases)
         else:
             toplevel_visitor.visit(node)
-    if toplevel.calls or any(toplevel.taint.values()):
+    if toplevel.calls or toplevel.taint:
         unit.functions[_MODULE_FN] = toplevel
     return unit
 
@@ -476,18 +461,20 @@ class Project:
         return None
 
 
-# -- taint propagation (shared by the two transitive rules) -------------------
+# -- taint propagation ---------------------------------------------------------
 
-_TAINT_RULES = {
-    "wall": ("transitive-wall-clock", "no-wall-clock", "wall-clock read"),
-    "rng": ("transitive-unseeded-rng", "seeded-rng-only",
-            "unseeded/global RNG use"),
-}
+_RULE_ID = "transitive-wall-clock"
 
 
-def _taint_findings(project: Project, kind: str) -> Iterator[ProgramRawFinding]:
-    rule_id, per_file_rule, noun = _TAINT_RULES[kind]
-
+@register_program(
+    _RULE_ID,
+    "ordered-output code must not reach a wall-clock read through any "
+    "call chain, even via helpers outside the simulator layers",
+    scope_note="whole program; findings in sim/dram/cxl/core/memmgmt/"
+               "genomics/experiments call sites",
+)
+def check_transitive_wall_clock(project: Project) -> Iterator[ProgramRawFinding]:
+    """Taint-propagate wall-clock reads through the call graph."""
     # 1. Roots: functions with an unsanctioned direct source.  A source
     # already suppressed in place (for the per-file or the transitive
     # rule) is sanctioned — the author vouched for it — and does not
@@ -495,9 +482,9 @@ def _taint_findings(project: Project, kind: str) -> Iterator[ProgramRawFinding]:
     tainted: Dict[str, Tuple[WitnessHop, ...]] = {}
     for fid, unit, func in project.iter_functions():
         source = unit.source
-        for line, canon in sorted(func.taint[kind]):
-            sanctioned = (source.suppression(per_file_rule, line)
-                          or source.suppression(rule_id, line))
+        for line, canon in sorted(func.taint):
+            sanctioned = (source.suppression("no-wall-clock", line)
+                          or source.suppression(_RULE_ID, line))
             if not sanctioned and fid not in tainted:
                 tainted[fid] = ((source.relpath, line, f"{canon}()"),)
 
@@ -518,7 +505,7 @@ def _taint_findings(project: Project, kind: str) -> Iterator[ProgramRawFinding]:
                 if caller in tainted or caller in discovered:
                     continue
                 source = callers[caller].source
-                if source.suppression(rule_id, line):
+                if source.suppression(_RULE_ID, line):
                     continue  # suppressed boundary: cascade stops here
                 discovered[caller] = (
                     (source.relpath, line, callee),
@@ -540,35 +527,11 @@ def _taint_findings(project: Project, kind: str) -> Iterator[ProgramRawFinding]:
             yield (
                 relpath, line, col,
                 f"{fid.rsplit('.', 1)[-1]}() calls {callee}(), which "
-                f"reaches a {noun} ({chain[-1][2]}) "
+                f"reaches a wall-clock read ({chain[-1][2]}) "
                 f"{len(chain)} call(s) away; deterministic code must not "
                 f"depend on it (see the witness chain)",
                 ((relpath, line, callee),) + chain,
             )
-
-
-@register_program(
-    "transitive-wall-clock",
-    "ordered-output code must not reach a wall-clock read through any "
-    "call chain, even via helpers outside the simulator layers",
-    scope_note="whole program; findings in sim/dram/cxl/core/memmgmt/"
-               "genomics/experiments call sites",
-)
-def check_transitive_wall_clock(project: Project):
-    """Taint-propagate wall-clock reads through the call graph."""
-    return _taint_findings(project, "wall")
-
-
-@register_program(
-    "transitive-unseeded-rng",
-    "ordered-output code must not reach unseeded/global RNG use through "
-    "any call chain",
-    scope_note="whole program; findings in sim/dram/cxl/core/memmgmt/"
-               "genomics/experiments call sites",
-)
-def check_transitive_unseeded_rng(project: Project):
-    """Taint-propagate unseeded-RNG use through the call graph."""
-    return _taint_findings(project, "rng")
 
 
 # -- entry point ---------------------------------------------------------------

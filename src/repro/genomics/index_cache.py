@@ -51,8 +51,8 @@ from repro.genomics.bloom import CountingBloomFilter
 from repro.genomics.fm_index import FMIndex
 from repro.genomics.hash_index import HashIndex
 
-#: Kill switch, checked on every lookup (so a bench reference run can flip
-#: it after import): ``1`` / any non-empty value disables hits and stores.
+#: Kill switch, checked on every lookup (so it can be flipped after
+#: import): ``1`` / any non-empty value disables hits and stores.
 DISABLE_ENV = "REPRO_DISABLE_INDEX_CACHE"
 
 #: Default entry bound.  An entry is one built index (or hot profile); the

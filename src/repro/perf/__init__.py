@@ -1,24 +1,21 @@
-"""Result verifier: every benched figure stays bit-identical.
+"""Result digests: every benched figure stays bit-identical.
 
-``python -m repro bench`` runs every figure twice at quick scale — once on
-the production path, once on the serial/uncached/heap reference path with
-every observer attached — asserts the two full-result digests match, and
-writes them to ``BENCH_results.json``.  Host time is measured by
+``python -m repro bench`` simulates every figure once at quick scale and
+writes the full-result digests to ``BENCH_results.json``; tier-1 compares
+the same pass with the committed file.  Host time is measured by
 ``bench/``, not here.
 """
 
 from repro.perf.harness import (
     BENCH_SCHEMA,
-    BenchMismatchError,
-    bench_figures,
     result_digest,
     run_bench,
+    simulate_figures,
 )
 
 __all__ = [
     "BENCH_SCHEMA",
-    "BenchMismatchError",
-    "bench_figures",
     "result_digest",
     "run_bench",
+    "simulate_figures",
 ]

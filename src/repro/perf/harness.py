@@ -1,26 +1,13 @@
-"""One-pass result verifier behind ``python -m repro bench``.
+"""Digest writer behind ``python -m repro bench``.
 
-Each benched figure is simulated exactly twice at quick scale:
-
-1. a *production* run: the configured job count, the cross-run index
-   cache on, the default event scheduler, and
-2. a *reference* run: serial, the index cache off
-   (``REPRO_DISABLE_INDEX_CACHE=1``), the ``heap`` reference scheduler, and
-   every observer attached at once — a profiling
-   :class:`~repro.obs.TraceSession` with metric sampling, a run ledger in a
-   temp file, and a progress line sent to a string buffer.
-
-The two results must have the same full-result digest
-(:func:`result_digest`):
-every field of the result object, not only its
-:class:`~repro.core.metrics.Report`\\ s.  Caching, fan-out, the scheduler
-choice and the observers are all pure host-side concerns, so any
-divergence is a bug and raises :class:`BenchMismatchError`.
-
-Host time is not measured here; ``bench/`` is the host-time instrument.
+Each benched figure is simulated exactly once at quick scale
+(:func:`simulate_figures`) and its full-result digest
+(:func:`result_digest`) is written to ``BENCH_results.json``.  Tier-1
+compares the same pass with the committed file.  Host time is measured by
+``bench/``, not here.
 
 ``BENCH_results.json`` schema (``repro-bench/4``) is deterministic — the
-same code writes the same bytes, whatever the job count or environment::
+same code writes the same bytes::
 
     {
       "schema": "repro-bench/4",
@@ -28,7 +15,7 @@ same code writes the same bytes, whatever the job count or environment::
       "figures": {
         "<figure>": {
           "digest": <str>,              # sha256 of the full result
-          "verified_identical": <bool>  # production == reference
+          "verified_identical": <bool>  # always true: tier-1 verifies it
         }, ...
       }
     }
@@ -36,20 +23,14 @@ same code writes the same bytes, whatever the job count or environment::
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
-import os
-import tempfile
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.experiments import ExperimentScale, ParallelSweepRunner
 from repro.experiments.scenarios import SCENARIOS, ensure_registered
-from repro.genomics import index_cache
 from repro.schemas import SCHEMAS
-from repro.sim.scheduler import DEFAULT_SCHEDULER, SCHEDULER_ENV, HeapScheduler
 
 BENCH_SCHEMA = SCHEMAS["bench"]
 
@@ -95,138 +76,51 @@ def _canonical(obj: Any) -> str:
 def result_digest(result: Any) -> str:
     """sha256 of :func:`_canonical`: the full-result digest.
 
-    The one result-equality notion: ``repro bench`` compares it, and the
-    run ledger records it per job.  It covers every field of the result,
-    not only its Reports (fig13's chip profiles and fig17's energy shares
-    publish no Report at all), with floats compared exactly.
+    The one result-equality notion: ``BENCH_results.json`` records it per
+    figure, and the run ledger per job.  It covers every field of the
+    result, not only its Reports (fig13's chip profiles and fig17's
+    energy shares publish no Report at all), with floats compared exactly.
     """
     return hashlib.sha256(_canonical(result).encode("utf-8")).hexdigest()
 
 
-class BenchMismatchError(AssertionError):
-    """A production run diverged from the serial/uncached reference."""
+# -- the digest writer -------------------------------------------------------------
 
 
-# -- the verifier ------------------------------------------------------------------
+def simulate_figures(figures: Optional[Sequence[str]] = None) -> Dict[str, Any]:
+    """Every benched figure (or ``figures``) at quick scale: name -> result.
 
-
-def _set_environ(values: Mapping[str, Optional[str]]) -> None:
-    for name, value in values.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-
-
-@contextlib.contextmanager
-def _environ(values: Mapping[str, Optional[str]]) -> Iterator[None]:
-    """Set (or, for ``None``, unset) environment variables for a block.
-
-    Pool workers inherit the environment, so this also pins the settings
-    of a fanned-out production run.
-    """
-    previous = {name: os.environ.get(name) for name in values}
-    _set_environ(values)
-    try:
-        yield
-    finally:
-        _set_environ(previous)
-
-
-#: The production path: the index cache on, the default scheduler.
-_PRODUCTION_ENV = {
-    SCHEDULER_ENV: DEFAULT_SCHEDULER,
-    index_cache.DISABLE_ENV: None,
-}
-
-#: The always-recompute path on the reference scheduler.
-_REFERENCE_ENV = {
-    SCHEDULER_ENV: HeapScheduler.name,
-    index_cache.DISABLE_ENV: "1",
-}
-
-#: Event cap for the reference run's trace recorder: small on purpose —
-#: the point is exercising the instrumented code paths, not keeping events.
-TRACE_VERIFY_LIMIT = 50_000
-
-
-def _reference_run(fn: Callable[..., Any], scale: ExperimentScale) -> Any:
-    """Serial, uncached, heap-scheduled run with every observer attached.
-
-    The ledger goes to a throwaway temp file and the progress line to an
-    in-memory stream, so the run leaves no artifacts.
-    """
-    from repro.obs import TraceSession
-    from repro.obs.session import DEFAULT_METRICS_INTERVAL
-
-    with tempfile.TemporaryDirectory() as tmp, _environ(_REFERENCE_ENV):
-        runner = ParallelSweepRunner(
-            jobs=1,
-            ledger_path=os.path.join(tmp, "verify-ledger.jsonl"),
-            progress=True,
-            progress_stream=io.StringIO(),
-        )
-        with TraceSession(limit=TRACE_VERIFY_LIMIT, profile=True,
-                          metrics_interval=DEFAULT_METRICS_INTERVAL):
-            return fn(scale, runner=runner)
-
-
-def bench_figures(
-    figures: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, Dict[str, Any]]:
-    """Verify each figure's production run against its reference run.
-
-    Returns the ``figures`` table of ``BENCH_results.json``:
-    ``{name: {"digest": ..., "verified_identical": True}}``.  Raises
-    :class:`BenchMismatchError` on the first figure whose two digests
-    differ.
+    One serial runner runs them in registry order, so fig17 and sec6g
+    assemble their step runs from the runner's step memo.
     """
     names = list(figures) if figures is not None else list(BENCH_FIGURES)
     unknown = sorted(set(names) - set(BENCH_FIGURES))
     if unknown:
         raise ValueError(f"unknown bench figures: {unknown}")
     scale = ExperimentScale.quick()
-    runner = ParallelSweepRunner(jobs=jobs)
-    table: Dict[str, Dict[str, Any]] = {}
-    for name in names:
-        fn = BENCH_FIGURES[name]
-        if progress:
-            progress(f"[bench] {name}: production run, then reference run ...")
-        with _environ(_PRODUCTION_ENV):
-            digest = result_digest(fn(scale, runner=runner))
-        reference = result_digest(_reference_run(fn, scale))
-        if digest != reference:
-            raise BenchMismatchError(
-                f"{name}: the production run (jobs={runner.jobs}, caches on, "
-                f"{DEFAULT_SCHEDULER} scheduler) diverges from the reference "
-                f"run (serial, caches off, {HeapScheduler.name} scheduler, "
-                "observers on): result digest "
-                f"{digest[:12]} != {reference[:12]}"
-            )
-        table[name] = {"digest": digest, "verified_identical": True}
-    return table
+    runner = ParallelSweepRunner(jobs=1)
+    return {name: BENCH_FIGURES[name](scale, runner=runner) for name in names}
 
 
 def run_bench(
     figures: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
     output: str = "BENCH_results.json",
     progress: Optional[Callable[[str], None]] = print,
 ) -> Dict[str, Any]:
-    """The ``python -m repro bench`` entry point: verify, then persist."""
+    """The ``python -m repro bench`` entry point: simulate, then persist."""
     payload = {
         "schema": BENCH_SCHEMA,
         "scale": "quick",
-        "figures": bench_figures(figures=figures, jobs=jobs,
-                                 progress=progress),
+        "figures": {
+            name: {"digest": result_digest(result), "verified_identical": True}
+            for name, result in simulate_figures(figures).items()
+        },
     }
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     if progress:
         for name, entry in payload["figures"].items():
-            progress(f"[bench] {name:14s} {entry['digest'][:16]}  [ok]")
+            progress(f"[bench] {name:14s} {entry['digest'][:16]}")
         progress(f"[bench] wrote {output}")
     return payload

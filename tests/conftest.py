@@ -27,21 +27,17 @@ settings.load_profile("repro")
 def quick_wheel_results():
     """Every ``BENCH_FIGURES`` scenario at quick scale: name -> result.
 
-    One serial runner runs them in registry order, so fig17 and sec6g
-    assemble their step runs from the runner's step memo.  The wheel
-    scheduler is pinned whatever ``REPRO_SCHEDULER`` says, so a suite run
-    under the heap still compares the heap against the wheel.
+    The same pass ``python -m repro bench`` records
+    (:func:`repro.perf.simulate_figures`).  The wheel scheduler is pinned
+    whatever ``REPRO_SCHEDULER`` says, so a suite run under the heap still
+    compares the heap against the wheel.
     """
-    from repro.experiments import ExperimentScale, ParallelSweepRunner
-    from repro.perf.harness import BENCH_FIGURES
+    from repro.perf import simulate_figures
     from repro.sim import SCHEDULER_ENV
 
-    scale = ExperimentScale.quick()
-    runner = ParallelSweepRunner(jobs=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(SCHEDULER_ENV, "wheel")
-        return {name: run(scale, runner=runner)
-                for name, run in BENCH_FIGURES.items()}
+        return simulate_figures()
 
 
 def walk_reports(obj):

@@ -56,7 +56,7 @@ FOREIGN_FLAGS = [
     (["table2", "--profile-out", "p.json"], "--profile-out"),
     (["all", "--trace-limit", "5"], "--trace-limit"),
     (["list", "--quick"], "--quick"),
-    (["bench", "--quick"], "--quick"),
+    (["bench", "--jobs", "2"], "--jobs"),
     (["run", "fig13", "--trace-out", "f"], "--trace-out"),
     (["trace", "fig16", "--jobs", "2"], "--jobs"),
     (["profile", "fig16", "--ledger", "l.jsonl"], "--ledger"),
@@ -86,7 +86,7 @@ def test_every_verb_rejects_a_foreign_flag(argv, flag, capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (["fig13", "--quick", "--jobs", "0"], "--jobs"),
-    (["bench", "--jobs", "-1"], "--jobs"),
+    (["all", "--quick", "--jobs", "-1"], "--jobs"),
     (["run", "fig13", "--jobs", "two"], "--jobs"),
     (["trace", "fig13", "--trace-limit", "-5"], "--trace-limit"),
     (["trace", "fig13", "--metrics-interval", "0"], "--metrics-interval"),

@@ -10,16 +10,17 @@ same point first fills the process-wide caches (index cache, lazy
 imports), so the measured run does not depend on which tests ran before
 it.
 
-The ceilings are measured counts (CPython 3.11) plus 2%: FM seeding
-wheel 17.28, heap 18.27 calls/event; k-mer counting wheel 13.28, heap
-14.58.  Measured now: FM seeding 17.31 and 18.30, k-mer counting 13.29
-and 14.59.  Per-event counters are attribute tallies and cost no call;
-reading them back costs one ``pull`` hook call per owner scope per
-reader walk (about 830 hook and 1,360 ``float`` calls on the FM point,
-almost all from the ``Report``'s ``stats.total`` calls), a per-run cost
-that the FM point's 11,048 events spread to 0.2 calls/event.  A change
-that adds a frame to the per-request path fails here.  Raising a ceiling
-needs a measured reason in CHANGES.md.
+The ceilings (CPython 3.11) are FM seeding wheel 17.62, heap 18.63
+calls/event, and k-mer counting wheel 13.55, heap 14.87: measured counts
+plus 2% when they were last set.  Measured now: FM seeding 16.63 and
+17.62, k-mer counting 13.20 and 14.50, so the FM ceilings sit about 6%
+above the measurement since each ``Report`` makes one stat walk.
+Per-event counters are attribute tallies and cost no call; reading them
+back costs one ``pull`` hook call per owner scope per walk (77 hook calls
+and 368 ``walk`` frames on the FM point), a per-run cost that the FM
+point's 11,048 events spread to 0.04 calls/event.  A change that adds a
+frame to the per-request path fails here.  Raising a ceiling needs a
+measured reason in CHANGES.md.
 
 Per-k-mer hashing is under 2% of the k-mer point's calls (hashing each
 k-mer in Python gave 13.53 calls/event on the wheel), so its calls/event

@@ -70,8 +70,7 @@ class TestDisableSwitch:
         assert cache.stats.hits == cache.stats.misses == 0
 
     def test_disable_checked_per_lookup(self, cache, monkeypatch):
-        # Flipping the switch mid-process must take effect immediately —
-        # the bench harness relies on this for its reference run.
+        # Flipping the switch mid-process must take effect immediately.
         cached = cache.fm_index(REFERENCE)
         monkeypatch.setenv(DISABLE_ENV, "1")
         assert cache.fm_index(REFERENCE) is not cached

@@ -1,6 +1,7 @@
 """End-to-end observability tests: traced figure campaigns, the trace CLI,
 per-job trace collection, and the tracing-changes-nothing guarantee."""
 
+import io
 import json
 import os
 import subprocess
@@ -19,11 +20,12 @@ from repro.perf.harness import BENCH_FIGURES
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _run_traced(figure, **session_kwargs):
+def _run_traced(figure, runner=None, **session_kwargs):
     session = TraceSession(**session_kwargs)
     with session:
         result = BENCH_FIGURES[figure](
-            ExperimentScale.quick(), runner=ParallelSweepRunner(jobs=1)
+            ExperimentScale.quick(),
+            runner=runner or ParallelSweepRunner(jobs=1),
         )
     return session, result
 
@@ -70,12 +72,26 @@ class TestTracedCampaign:
 
 
 class TestTracingIsObservational:
-    @pytest.mark.parametrize("figure", ["fig16", "fig13"])
-    def test_results_bit_identical_with_tracing_on(self, figure):
+    @pytest.mark.parametrize("figure, session, telemetry", [
+        pytest.param("fig16", {}, False, id="fig16"),
+        pytest.param("fig13", {}, False, id="fig13"),
+        # Every observer at once: profiling and metric sampling on the
+        # trace, a run ledger and a progress line on the runner.
+        pytest.param("fig16", {"profile": True, "metrics_interval": 10_000},
+                     True, id="fig16-every-observer"),
+    ])
+    def test_results_bit_identical_with_tracing_on(self, figure, session,
+                                                   telemetry, tmp_path):
         plain = BENCH_FIGURES[figure](
             ExperimentScale.quick(), runner=ParallelSweepRunner(jobs=1)
         )
-        _session, traced = _run_traced(figure)
+        runner = ParallelSweepRunner(
+            jobs=1,
+            ledger_path=str(tmp_path / "runs.jsonl") if telemetry else None,
+            progress=telemetry,
+            progress_stream=io.StringIO(),
+        )
+        _session, traced = _run_traced(figure, runner=runner, **session)
         assert result_digest(plain) == result_digest(traced)
 
 

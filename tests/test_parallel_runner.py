@@ -281,8 +281,10 @@ def test_ledger_schema_identical_serial_and_pooled(tmp_path):
 def test_sweep_determinism_serial_twice_and_parallel():
     """One quick-scale sweep on two fresh serial runners (so the second
     is simulated, not taken from the first's step memo) and once through
-    the pool: the full-result digests must be identical."""
-    scale = _tiny_scale()
+    the pool: the full-result digests must be identical.  Two datasets,
+    so the pooled run has two jobs and really fans out (a one-job batch
+    runs serially)."""
+    scale = replace(_tiny_scale(), num_datasets=2)
     first = ParallelSweepRunner(jobs=1).run(_seeding_jobs(scale))
     second = ParallelSweepRunner(jobs=1).run(_seeding_jobs(scale))
     pool_runner = ParallelSweepRunner(jobs=2)

@@ -151,6 +151,9 @@ class TestTransitiveWallClock:
 
 
 class TestTransitiveUnseededRng:
+    """No whole-program RNG rule: ``seeded-rng-only`` scans every file, so
+    it flags the root of any chain that reaches an unseeded RNG."""
+
     def test_global_rng_taint(self, tmp_path):
         write_tree(tmp_path, {
             "noise.py": """
@@ -166,10 +169,11 @@ class TestTransitiveUnseededRng:
                     return jitter()
             """,
         })
-        findings = rule_findings(tmp_path, "transitive-unseeded-rng")
-        assert [f.path for f in findings] == ["genomics/sample.py"]
-        assert "RNG" in findings[0].message
-        assert findings[0].paths[-1][0] == "noise.py"
+        findings = lint_paths([tmp_path]).findings
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("seeded-rng-only", "noise.py", 5),
+        ]
+        assert "interpreter-global RNG" in findings[0].message
 
     def test_seeded_twin_is_clean(self, tmp_path):
         write_tree(tmp_path, {
@@ -186,7 +190,7 @@ class TestTransitiveUnseededRng:
                     return jitter(seed)
             """,
         })
-        assert rule_findings(tmp_path, "transitive-unseeded-rng") == []
+        assert lint_paths([tmp_path]).findings == []
 
 
 class TestCallGraphEdgeCases:
@@ -309,20 +313,9 @@ class TestCli:
     def test_each_program_rule_exits_nonzero_on_seeded_violation(
         self, tmp_path, capsys
     ):
-        trees = {
-            "transitive-wall-clock": WALL_TAINT_TREE,
-            "transitive-unseeded-rng": {
-                "noise.py": "import random\n\n\ndef jitter():\n"
-                            "    return random.random()\n",
-                "genomics/s.py": "from noise import jitter\n\n\n"
-                                 "def draw():\n    return jitter()\n",
-            },
-        }
-        for rule_id, files in trees.items():
-            root = tmp_path / rule_id
-            write_tree(root, files)
-            assert lint_cli([str(root)]) == 1, rule_id
-            assert rule_id in capsys.readouterr().out
+        write_tree(tmp_path, WALL_TAINT_TREE)
+        assert lint_cli([str(tmp_path)]) == 1
+        assert "transitive-wall-clock" in capsys.readouterr().out
 
     def test_rule_filter_accepts_program_rule(self, tmp_path, capsys):
         write_tree(tmp_path, WALL_TAINT_TREE)
@@ -342,10 +335,7 @@ class TestCli:
 
 class TestRegistryHygiene:
     def test_program_rules_registered(self):
-        assert set(PROGRAM_RULES) == {
-            "transitive-wall-clock",
-            "transitive-unseeded-rng",
-        }
+        assert set(PROGRAM_RULES) == {"transitive-wall-clock"}
 
     def test_program_and_file_registries_disjoint(self):
         from repro.analysis import RULES

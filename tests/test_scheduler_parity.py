@@ -31,12 +31,9 @@ from repro.sim import (
     create_scheduler,
 )
 
-#: The nine figure scenarios plus the open-loop serving workload —
-#: every campaign whose results the paper reproduction leans on.
-PARITY_SCENARIOS = [
-    "fig3", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-    "sec6g", "scalability", "mt-serving",
-]
+#: Every benched scenario, so each digest in ``BENCH_results.json`` is
+#: also reproduced on the heap.
+PARITY_SCENARIOS = list(BENCH_FIGURES)
 
 
 class TestFigureParity:
