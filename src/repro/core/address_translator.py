@@ -40,7 +40,8 @@ class AddressTranslator(Component):
             counters["fine_grained"] = float(self.fine_grained)
 
     def translate(self, request: MemoryRequest) -> MemoryRequest:
-        """Fill in ``dimm_index`` + ``coord``; returns the same request."""
+        """Fill in ``dimm_index`` + the DRAM coordinates; returns the same
+        request."""
         self.region_map.translate(request, requester=self.node)
         self.translations += 1
         if request.data_class in _FINE_GRAINED:

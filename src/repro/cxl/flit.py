@@ -48,13 +48,18 @@ class Message:
     waits in a packing buffer, its channel) holds that step, never the
     message, so a delivered message is freed by reference counting alone.
 
+    A memory round trip sends one message both ways: once the request leg
+    is delivered, :meth:`reaim` turns the same message into the response
+    on the route back.
+
     The wire-cost fields are fixed by ``kind``/``payload_bytes`` and read
-    on every fabric hop, so they are computed once at construction.
+    on every fabric hop, so they are computed once per leg.
+    ``created_at`` is stamped by each send only while the engine traces.
     """
 
     __slots__ = (
-        "kind", "payload_bytes", "destination", "on_delivered", "cargo",
-        "hops", "index", "created_at", "header_bytes", "packed_wire_bytes",
+        "kind", "payload_bytes", "on_delivered", "cargo", "hops", "index",
+        "created_at", "header_bytes", "packed_wire_bytes",
         "unpacked_wire_bytes",
     )
 
@@ -62,7 +67,6 @@ class Message:
         self,
         kind: MessageKind,
         payload_bytes: int,
-        destination: str,
         on_delivered: Optional[Callable[[], None]] = None,
         cargo: object = None,
         hops: Sequence["PackedChannel"] = (),
@@ -73,7 +77,6 @@ class Message:
             raise ValueError(f"{kind.value} message needs an on_delivered callback")
         self.kind = kind
         self.payload_bytes = payload_bytes
-        self.destination = destination
         self.on_delivered = on_delivered
         #: Arbitrary cargo (usually the MemoryRequest this message moves).
         self.cargo = cargo
@@ -88,4 +91,19 @@ class Message:
         #: Wire cost contribution when sharing flits with other payloads.
         self.packed_wire_bytes = total
         #: Wire cost without data packing: whole flits only.
+        self.unpacked_wire_bytes = -(-total // FLIT_BYTES) * FLIT_BYTES
+
+    def reaim(self, payload_bytes: int, hops: Sequence["PackedChannel"],
+              on_delivered: Callable[[], None]) -> None:
+        """Turn this delivered message into the ``MEM_RESPONSE`` carrying
+        ``payload_bytes`` along ``hops`` to ``on_delivered``; the cargo
+        stays.  The caller then sends it on ``hops[0]``."""
+        self.kind = MessageKind.MEM_RESPONSE
+        self.payload_bytes = payload_bytes
+        self.on_delivered = on_delivered
+        self.hops = hops
+        self.index = 0
+        self.header_bytes = PACKED_HEADER_BYTES
+        total = payload_bytes + PACKED_HEADER_BYTES
+        self.packed_wire_bytes = total
         self.unpacked_wire_bytes = -(-total // FLIT_BYTES) * FLIT_BYTES

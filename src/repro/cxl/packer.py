@@ -168,7 +168,9 @@ class PackedChannel(Component):
                 return
             wire, deliver, tag = self._take_batch()
         else:
-            message.created_at = now
+            if tracer:
+                # Only a traced flush reads it (its ``waits`` list).
+                message.created_at = now
             # The message's next step, run at arrival: the next hop's send,
             # or the sender's callback after the last hop.
             index = message.index + 1
@@ -298,7 +300,8 @@ class PackedChannel(Component):
                 "wire_bytes": wire,
                 # Per-request buffering time (cycles spent waiting for
                 # co-travellers), aligned index-for-index with ``reqs``.
-                # ``send`` stamps ``created_at`` before buffering.
+                # A traced ``send`` stamps ``created_at`` before
+                # buffering.
                 "waits": [
                     now - m.created_at
                     for m in batch

@@ -23,6 +23,7 @@ round trip including controller backpressure and atomic hand-off.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cxl.flit import Message, MessageKind
@@ -32,13 +33,9 @@ from repro.cxl.packer import PackedChannel
 from repro.cxl.switch import CxlSwitch
 from repro.dram.controller import DimmController
 from repro.dram.dimm import Dimm, DimmKind
-from repro.dram.request import AccessKind, MemoryRequest
+from repro.dram.request import READ_REQUEST_PAYLOAD, AccessKind, MemoryRequest
 from repro.dram.timing import DimmGeometry, DramTiming
 from repro.sim.component import Component
-
-#: Wire payload of a read request / write ack (address + metadata).
-READ_REQUEST_PAYLOAD = 8
-WRITE_ACK_PAYLOAD = 2
 
 
 @dataclass(frozen=True)
@@ -300,110 +297,27 @@ class Fabric(Component):
         if not hops:
             self.engine.schedule(self.comm.dimm_local_latency, on_delivered)
             return
-        hops[0].send(
-            Message(kind, payload_bytes, route.dst, on_delivered, cargo, hops)
-        )
+        hops[0].send(Message(kind, payload_bytes, on_delivered, cargo, hops))
 
     def comm_energy_pj(self) -> float:
         """Total communication energy accrued on every link of the fabric."""
         return self.stats.total("energy_pj")
 
 
-class _AccessFlight:
-    """One request -> DRAM -> response round trip through the pool.
-
-    A slotted object whose bound methods are the fabric and controller
-    callbacks, in place of a closure per step.  ``request.on_complete``
-    points at the flight only while DRAM serves the request; the flight
-    rebinds it before the final callback, so a finished round trip leaves
-    no reference cycle behind.
-    """
-
-    __slots__ = ("pool", "request", "route_resp", "on_done")
-
-    def __init__(self, pool: "MemoryPool", request: MemoryRequest,
-                 route_resp: Route,
-                 on_done: Optional[Callable[[MemoryRequest], None]]) -> None:
-        self.pool = pool
-        self.request = request
-        self.route_resp = route_resp
-        self.on_done = on_done
-
-    def submit(self) -> None:
-        """Request arrived at the DIMM: hand it to the controller."""
-        request = self.request
-        request.on_complete = self.on_dram_done
-        self.pool.controllers[request.dimm_index].submit_when_possible(request)
-
-    def on_dram_done(self, request: MemoryRequest) -> None:
-        """DRAM serviced the request: send the response back."""
-        payload = WRITE_ACK_PAYLOAD if request.is_write else request.size
-        self.pool.fabric.send(
-            self.route_resp, MessageKind.MEM_RESPONSE, payload,
-            self.deliver, request,
-        )
-
-    def deliver(self) -> None:
-        """Response arrived at the source: fire the caller's callback."""
-        self.pool._finish(self.request, self.on_done)
-
-
-class _DramFlight(_AccessFlight):
-    """A :meth:`MemoryPool.dram_access` round trip.
-
-    Its request is internal to an atomic, so delivery unbinds
-    ``request.on_complete``, keeps the controller's completion stamp, and
-    passes the request to ``on_done``.
-    """
-
-    __slots__ = ()
-
-    def deliver(self) -> None:
-        request = self.request
-        request.on_complete = None
-        pool = self.pool
-        if pool.engine.tracer:
-            pool._trace_req_end(request)
-        self.on_done(request)
-
-
-class _AtomicFlight(_AccessFlight):
-    """A routed atomic (Fig. 7): request trip to the owning switch, RMW
-    at its Atomic Engine, write acknowledgement back."""
-
-    __slots__ = ("atomic_engine",)
-
-    def __init__(self, pool: "MemoryPool", request: MemoryRequest,
-                 route_resp: Route,
-                 on_done: Optional[Callable[[MemoryRequest], None]],
-                 atomic_engine) -> None:
-        super().__init__(pool, request, route_resp, on_done)
-        self.atomic_engine = atomic_engine
-
-    def at_switch(self) -> None:
-        """Request arrived at the switch: run the RMW there."""
-        self.atomic_engine.perform(self.pool, self.request, self.respond)
-
-    def respond(self, request: MemoryRequest) -> None:
-        """RMW done: acknowledge the requester."""
-        self.pool.fabric.send(
-            self.route_resp, MessageKind.MEM_RESPONSE, WRITE_ACK_PAYLOAD,
-            self.deliver, request,
-        )
-
-
 class RmwFlight:
     """One read-modify-write against a DIMM: read, arithmetic, write back.
 
     Both halves are :meth:`MemoryPool.dram_access` round trips from
-    ``node``.  Between them the flight hands itself to ``compute``, which
+    ``node`` on one half record: the read is drawn from the atomic request
+    at :meth:`start`, and :meth:`write` reissues the same record as the
+    write.  Between them the flight hands itself to ``compute``, which
     calls :meth:`write` once the arithmetic is done: after a fixed delay
     for a module-local atomic, on a free engine for an Atomic Engine bank
     (:class:`repro.core.atomic_engine.AtomicEngineBank`).  After the write
     it calls ``on_done(request)``.
     """
 
-    __slots__ = ("pool", "request", "node", "compute", "on_done")
+    __slots__ = ("pool", "request", "node", "compute", "on_done", "half")
 
     def __init__(self, pool: "MemoryPool", request: MemoryRequest, node: str,
                  compute: Callable[["RmwFlight"], None],
@@ -413,37 +327,38 @@ class RmwFlight:
         self.node = node
         self.compute = compute
         self.on_done = on_done
+        self.half: Optional[MemoryRequest] = None
 
     def start(self) -> None:
         """Issue the read half."""
-        self.pool.dram_access(self._half(AccessKind.READ), self.node,
-                              self.after_read)
-
-    def _half(self, kind: AccessKind) -> MemoryRequest:
-        request = self.request
-        half = MemoryRequest(
-            addr=request.addr, size=request.size, kind=kind,
-            data_class=request.data_class, task_id=request.task_id,
-            source=self.node,
-        )
-        half.dimm_index = request.dimm_index
-        half.coord = request.coord
-        return half
+        self.half = self.request.read_half(self.node)
+        self.pool.dram_access(self.half, self.node, self.after_read)
 
     def after_read(self, _read: MemoryRequest) -> None:
         self.compute(self)
 
     def write(self) -> None:
         """Arithmetic done: issue the write half."""
-        self.pool.dram_access(self._half(AccessKind.WRITE), self.node,
-                              self.written)
+        half = self.half
+        half.reissue(AccessKind.WRITE)
+        self.pool.dram_access(half, self.node, self.written)
 
     def written(self, _write: MemoryRequest) -> None:
         self.on_done(self.request)
 
 
 class MemoryPool(Component):
-    """Fabric + DIMMs + controllers: the complete simulated memory system."""
+    """Fabric + DIMMs + controllers: the complete simulated memory system.
+
+    A round trip runs on the request itself (see
+    :class:`~repro.dram.request.MemoryRequest`): the pool stores itself,
+    the route back and ``on_done`` on the request and sends one message on
+    the request leg, straight onto the route's first hop.  The controller
+    pushes the request's ``respond`` step at the completion cycle, which
+    re-aims that message at the route back; the request's ``deliver``
+    ends the trip.  A same-node trip (an empty route) takes
+    ``dimm_local_latency`` each way instead.
+    """
 
     def __init__(
         self,
@@ -455,6 +370,11 @@ class MemoryPool(Component):
         timing: DramTiming = DramTiming(),
     ) -> None:
         super().__init__(engine, name, parent)
+        if type(comm.dimm_local_latency) is not int or comm.dimm_local_latency < 0:
+            raise ValueError(
+                "dimm_local_latency must be a non-negative int, got "
+                f"{comm.dimm_local_latency!r}"
+            )
         self.comm = comm
         self.geometry = geometry
         self.timing = timing
@@ -464,6 +384,13 @@ class MemoryPool(Component):
         self.dimm_nodes: List[str] = []
         self._dimm_parent: Dict[int, str] = {}
         self._atomic_engines: Dict[str, object] = {}
+        #: Each controller's entry, bound once: a request leg's arrival
+        #: step is this bound to the request.
+        self._submit: List[Callable[[MemoryRequest], None]] = []
+        #: What a request's round-trip steps read: the engine's scheduler
+        #: and the one-way latency of a same-node trip.
+        self.scheduler = engine.scheduler
+        self.local_latency = comm.dimm_local_latency
 
     # -- construction ---------------------------------------------------------------
 
@@ -475,6 +402,7 @@ class MemoryPool(Component):
         self.fabric.add_dimm_node(node_name, parent_node)
         self.dimms.append(dimm)
         self.controllers.append(controller)
+        self._submit.append(controller.submit_when_possible)
         self.dimm_nodes.append(node_name)
         self._dimm_parent[index] = parent_node
         return index
@@ -494,8 +422,8 @@ class MemoryPool(Component):
     # Call sites guard these with ``if engine.tracer:``, so an untraced
     # request pays one attribute read per site and no frame.
 
-    def _trace_req_begin(self, request: MemoryRequest,
-                         src_node: str, dst_node: str) -> None:
+    def trace_req_begin(self, request: MemoryRequest,
+                        src_node: str, dst_node: str) -> None:
         """Open the async ``req`` span anchoring this request's lifetime."""
         engine = self.engine
         tracer = engine.tracer
@@ -508,8 +436,8 @@ class MemoryPool(Component):
                       "size": request.size},
             )
 
-    def _trace_req_end(self, request: MemoryRequest) -> None:
-        """Close the async ``req`` span opened by :meth:`_trace_req_begin`."""
+    def trace_req_end(self, request: MemoryRequest) -> None:
+        """Close the async ``req`` span opened by :meth:`trace_req_begin`."""
         engine = self.engine
         tracer = engine.tracer
         if tracer.wants("req"):
@@ -523,75 +451,75 @@ class MemoryPool(Component):
 
         Handles routing (with/without device bias), controller submission
         with backpressure retry, the response trip, and atomic hand-off to
-        the owning switch's Atomic Engine.
+        the owning switch's Atomic Engine.  ``request.on_complete`` is
+        called with the request once its response arrives.
         """
-        if request.dimm_index is None or request.coord is None:
+        dimm_index = request.dimm_index
+        if dimm_index is None or request.rank is None:
             raise ValueError("request must be translated before access()")
+        engine = self.engine
         if request.issued_at is None:
-            request.issued_at = self.engine.now
-        dst_node = self.dimm_nodes[request.dimm_index]
-        if self.engine.tracer:
-            self._trace_req_begin(request, src_node, dst_node)
-
+            request.issued_at = engine.now
+        dst_node = self.dimm_nodes[dimm_index]
+        if engine.tracer:
+            self.trace_req_begin(request, src_node, dst_node)
+        request.on_done = request.on_complete
         if request.kind is AccessKind.ATOMIC_RMW:
             if src_node != dst_node:
-                self._route_atomic(request, src_node, dst_node)
+                self._route_atomic(request, src_node)
             else:
                 self._local_atomic(request, src_node)
             return
+        # A PE's own DIMM is always device memory.
+        self._launch(
+            request, src_node, dst_node,
+            not self.comm.device_bias and src_node != dst_node,
+            partial(self._submit[dimm_index], request),
+        )
 
-        force_host = not self.comm.device_bias
-        if src_node == dst_node:
-            force_host = False  # a PE's own DIMM is always device memory
-        self._round_trip(_AccessFlight, request, src_node, dst_node,
-                         force_host, request.on_complete)
+    def _launch(self, request: MemoryRequest, src_node: str, dst_node: str,
+                force_host: bool, arrive: Callable[[], None]) -> None:
+        """Send ``request`` from ``src_node`` to ``dst_node``, where
+        ``arrive`` runs; the request keeps the route back for its
+        response.  Its ``on_done`` must already be set."""
+        route, back = self.fabric.round_trip(src_node, dst_node, force_host)
+        request.pool = self
+        request.route_back = back.hops
+        hops = route.hops
+        if not hops:
+            self.scheduler.push(self.engine.now + self.local_latency, arrive)
+            return
+        # A read carries only its address; anything else carries its data.
+        message = request.message = Message(
+            MessageKind.MEM_REQUEST,
+            READ_REQUEST_PAYLOAD if request.kind is AccessKind.READ
+            else READ_REQUEST_PAYLOAD + request.size,
+            arrive, request, hops,
+        )
+        hops[0].send(message)
 
-    def _round_trip(self, flight_cls, request: MemoryRequest, src_node: str,
-                    dst_node: str, force_host: bool, on_done) -> None:
-        """Send ``request`` to its DIMM on a new ``flight_cls`` flight,
-        which submits it there and brings the response back."""
-        fabric = self.fabric
-        route_req, route_resp = fabric.round_trip(src_node, dst_node,
-                                                  force_host)
-        flight = flight_cls(self, request, route_resp, on_done)
-        req_payload = READ_REQUEST_PAYLOAD + (request.size if request.is_write else 0)
-        fabric.send(route_req, MessageKind.MEM_REQUEST, req_payload,
-                    flight.submit, request)
-
-    def _finish(self, request: MemoryRequest, callback) -> None:
-        request.on_complete = callback
-        engine = self.engine
-        request.completed_at = engine.now
-        if engine.tracer:
-            self._trace_req_end(request)
-        if callback is not None:
-            callback(request)
-
-    def _complete(self, request: MemoryRequest) -> None:
-        """:meth:`_finish` with the request's own callback."""
-        self._finish(request, request.on_complete)
-
-    def _route_atomic(self, request: MemoryRequest, src_node: str, dst_node: str) -> None:
-        """Fig. 7: ship the atomic to the owning switch's Atomic Engine."""
+    def _route_atomic(self, request: MemoryRequest, src_node: str) -> None:
+        """Fig. 7: ship the atomic to the owning switch's Atomic Engine,
+        which runs the RMW there; the acknowledgement comes back on the
+        request's own response step."""
         switch_node = self.owner_switch(request.dimm_index)
         engine_obj = self._atomic_engines.get(switch_node)
         if engine_obj is None:
             raise RuntimeError(f"no atomic engine registered at {switch_node}")
-        force_host = not self.comm.device_bias
-        route_req, route_resp = self.fabric.round_trip(src_node, switch_node,
-                                                       force_host)
-        flight = _AtomicFlight(self, request, route_resp, request.on_complete,
-                               engine_obj)
-        self.fabric.send(
-            route_req, MessageKind.MEM_REQUEST,
-            READ_REQUEST_PAYLOAD + request.size, flight.at_switch, request,
+        # The engine's ``respond(request)`` callback is the request's own
+        # response step.
+        self._launch(
+            request, src_node, switch_node, not self.comm.device_bias,
+            partial(engine_obj.perform, self, request, MemoryRequest.respond),
         )
 
     def _local_atomic(self, request: MemoryRequest, src_node: str) -> None:
         """RMW on the NDP module's own DIMM (BEACON-D local counters):
         read, arithmetic in the module, write back — no fabric involved."""
+        # No fabric leg: once written, the request is delivered in place.
+        request.pool = self
         RmwFlight(self, request, src_node, self._local_compute,
-                  self._complete).start()
+                  MemoryRequest.deliver).start()
 
     def _local_compute(self, flight: RmwFlight) -> None:
         """A local atomic's arithmetic: a fixed delay in the module."""
@@ -610,8 +538,12 @@ class MemoryPool(Component):
         Used by the Atomic Engines for the read and write halves of an RMW;
         bias never matters here because the switch owns the DIMM.
         """
-        dst_node = self.dimm_nodes[request.dimm_index]
+        dimm_index = request.dimm_index
+        dst_node = self.dimm_nodes[dimm_index]
         if self.engine.tracer:
-            self._trace_req_begin(request, src_node, dst_node)
-        self._round_trip(_DramFlight, request, src_node, dst_node, False,
-                         on_done)
+            self.trace_req_begin(request, src_node, dst_node)
+        request.on_done = on_done
+        self._launch(
+            request, src_node, dst_node, False,
+            partial(self._submit[dimm_index], request),
+        )

@@ -21,23 +21,23 @@ class ChipAccessCounters:
         self.geometry = geometry
         self._chips_per_rank = geometry.chips_per_rank
         # Bursts per accessed group, keyed by (flat first chip, width): the
-        # controller credits one group per issued request, so recording is
-        # one dict update however wide the group; per-chip counts are
-        # expanded only when read.
-        self._group_bursts: Dict[Tuple[int, int], int] = {}
+        # controller credits one group per issued request (inline, as
+        # ``record`` does), so recording is one dict update however wide
+        # the group; per-chip counts are expanded only when read.
+        self.group_bursts: Dict[Tuple[int, int], int] = {}
 
     def record(self, rank: int, chip_group: int, chips_per_group: int, bursts: int) -> None:
         """Credit ``bursts`` bursts to every chip in the accessed group."""
         key = (rank * self._chips_per_rank + chip_group * chips_per_group,
                chips_per_group)
-        totals = self._group_bursts
+        totals = self.group_bursts
         totals[key] = totals.get(key, 0) + bursts
 
     @property
     def bursts(self) -> List[int]:
         """Total bursts per (rank, chip), flat."""
         counts = [0] * (self.geometry.ranks * self._chips_per_rank)
-        for (first, width), total in self._group_bursts.items():
+        for (first, width), total in self.group_bursts.items():
             for index in range(first, first + width):
                 counts[index] += total
         return counts

@@ -82,6 +82,20 @@ class DimmController(Component):
         self._tbl = dimm.timing.tbl
         self._burst_bytes_per_chip = dimm.geometry.burst_bytes_per_chip
         self._sched = engine.scheduler
+        self._refresh = dimm.refresh
+        self._chips_per_rank = dimm.geometry.chips_per_rank
+        # The narrowest chip group the DIMM serves (every width when it has
+        # per-chip chip selects): a narrower request fails validation.
+        self._narrowest_group = (
+            1 if dimm.kind.fine_grained else self._chips_per_rank
+        )
+        # The per-burst accounting targets of ``_issue``, hoisted.
+        self._group_bursts = dimm.chip_counters.group_bursts
+        self._energy = dimm.energy
+        params = dimm.energy.params
+        self._act_nj = params.act_pre_nj_per_chip
+        self._read_nj = params.read_burst_nj_per_chip
+        self._write_nj = params.write_burst_nj_per_chip
 
     def _pull_stats(self) -> None:
         counters = self.stats.counters
@@ -103,18 +117,20 @@ class DimmController(Component):
         remote requests "wait at the MCs to be issued out" rather than being
         dropped, so callers never need to poll.
         """
-        coord = request.coord
-        if coord is None:
+        if request.rank is None:
             raise ValueError("request must be address-mapped before submission")
-        dimm = self.dimm
-        dimm.validate_group(coord.chips_per_group)
+        if request.chips_per_group < self._narrowest_group:
+            self.dimm.validate_group(request.chips_per_group)  # raises
         engine = self.engine
         now = engine.now
         if request.issued_at is None:
             request.issued_at = now
         if request.mc_enqueued_at is None:
             request.mc_enqueued_at = now
-        dimm.refresh.notify_activity()
+        refresh = self._refresh
+        refresh.last_activity = now
+        if not refresh.armed:
+            refresh.arm()
         if len(self.queue) < self.queue_capacity and not self._waiters:
             self.queue.append(request)
             self.accepted += 1
@@ -175,7 +191,7 @@ class DimmController(Component):
             pick_plan = None
             min_start = None
             for i, request in enumerate(queue[:window]):
-                plan = plan_access(request.coord, request.is_write)
+                plan = plan_access(request, request.is_write)
                 start = plan[0]
                 if start <= now:
                     if not plan[2] or not prefer_hits:  # row hit, or FCFS
@@ -201,45 +217,56 @@ class DimmController(Component):
         now = engine.now
         if start < now:
             start = now  # plan start is now-independent
-        coord = request.coord
         dimm = self.dimm
-        chips = coord.chips_per_group
+        chips = request.chips_per_group
         group_bytes = self._burst_bytes_per_chip * chips
         bursts = -(-request.size // group_bytes)
         transfer_cycles = bursts * self._tbl
-        finish = dimm.commit_access(coord, start, pre_data, transfer_cycles,
-                                    activate, request.is_write)
+        is_write = request.is_write
+        # The request carries its DRAM coordinates, so it is the plan's
+        # coordinate record too.
+        finish = dimm.commit_access(request, start, pre_data, transfer_cycles,
+                                    activate, is_write)
         tracer = engine.tracer
         if tracer and tracer.wants("dram"):
             # The span covers the full service window [start, finish) —
             # completion is scheduled at ``finish`` — so the profiler's
             # queue/service/response phase boundaries meet exactly.
-            op = "WR" if request.is_write else "RD"
+            op = "WR" if is_write else "RD"
             enq = request.mc_enqueued_at
             tracer.complete(
                 "dram", f"ACT+{op}" if activate else op, self.path,
                 start, finish - start,
                 pid=self.engine.trace_id,
                 args={
-                    "row_state": row_state, "rank": coord.rank,
-                    "bank": coord.bank, "row": coord.row,
+                    "row_state": row_state, "rank": request.rank,
+                    "bank": request.bank, "row": request.row,
                     "chips": chips, "bursts": bursts,
                     "queue_depth": len(self.queue) + len(self._waiters),
                     "req": request.req_id, "task": request.task_id,
                     "wait": start - enq if enq is not None else 0,
                 },
             )
+        # The ACT energy, the chip-group bursts and the burst energy, as
+        # ``DramEnergyModel.on_activate``, ``ChipAccessCounters.record`` and
+        # ``DramEnergyModel.on_burst`` add them, in that order.
+        energy = self._energy
         if activate:
-            dimm.energy.on_activate(chips=chips)
-        dimm.chip_counters.record(coord.rank, coord.chip_group, chips, bursts)
-        dimm.energy.on_burst(chips, bursts, request.is_write)
+            energy.activates += 1
+            energy.energy_act_nj += self._act_nj * chips
+        totals = self._group_bursts
+        key = (request.rank * self._chips_per_rank
+               + request.chip_group * chips, chips)
+        totals[key] = totals.get(key, 0) + bursts
+        energy.burst_events += 1
+        energy.energy_rw_nj += (
+            self._write_nj if is_write else self._read_nj) * chips * bursts
         self.issued += 1
         self.bytes_accessed += bursts * group_bytes
         self.useful_bytes += request.size
-        # The completion cycle is known now: stamp it and schedule the
-        # request's bound completion method instead of a per-request lambda.
-        # ``finish`` is integral and not before ``now`` by construction
-        # (integer timings, ``start >= now``), so it goes straight onto
-        # the scheduler.
+        # The completion cycle is known now: stamp it and push the
+        # request's response step.  ``finish`` is integral and not before
+        # ``now`` by construction (integer timings, ``start >= now``), so
+        # it goes straight onto the scheduler.
         request.completed_at = finish
-        self._sched.push(finish, request.fire_completion)
+        self._sched.push(finish, request.respond)

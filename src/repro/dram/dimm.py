@@ -134,6 +134,11 @@ class Dimm(Component):
         access to ``coord``.  No timing state changes; the covered chips
         are only flagged as planned (see :meth:`apply_refresh`).
 
+        ``coord`` is a :class:`DramCoord` or anything with its fields, such
+        as a mapped :class:`~repro.dram.request.MemoryRequest` (the
+        controller passes the request itself); :meth:`commit_access` reads
+        it the same way.
+
         ``start`` is now-independent: the earliest cycle the bank and bus
         state permits, so an access issued at ``now`` starts at
         ``max(now, start)``.  The group's first chip classifies the access

@@ -23,6 +23,7 @@ The two principles of the paper's architecture & data aware scheme
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Tuple
 
 from repro.dram.request import DramCoord
 from repro.dram.timing import DimmGeometry
@@ -41,8 +42,13 @@ class AddressMapping(ABC):
         self.row_base = row_base
 
     @abstractmethod
+    def coords(self, addr: int) -> Tuple[int, int, int, int, int, int]:
+        """The :class:`DramCoord` fields of region-local byte ``addr`` as a
+        plain tuple: what address translation stores on a request."""
+
     def map(self, addr: int) -> DramCoord:
         """Coordinates of region-local byte ``addr``."""
+        return DramCoord(*self.coords(addr))
 
     @abstractmethod
     def rows_used(self, region_bytes: int) -> int:
@@ -66,7 +72,7 @@ class RankInterleaveMapping(AddressMapping):
     def chips_per_group(self) -> int:
         return self.geometry.chips_per_rank
 
-    def map(self, addr: int) -> DramCoord:
+    def coords(self, addr: int) -> Tuple[int, int, int, int, int, int]:
         if addr < 0:
             raise ValueError(f"negative address {addr:#x}")
         geo = self.geometry
@@ -76,9 +82,8 @@ class RankInterleaveMapping(AddressMapping):
         slot = line // (geo.banks * geo.ranks)
         row = slot // self._lines_per_row
         column = (slot % self._lines_per_row) * LINE_BYTES + addr % LINE_BYTES
-        return DramCoord(rank=rank, bank=bank, row=self.row_base + row,
-                         column=column, chip_group=0,
-                         chips_per_group=self.geometry.chips_per_rank)
+        return (rank, bank, self.row_base + row, column, 0,
+                geo.chips_per_rank)
 
     def rows_used(self, region_bytes: int) -> int:
         bytes_per_row_layer = (
@@ -123,7 +128,7 @@ class ChipInterleaveMapping(AddressMapping):
     def chips_per_group(self) -> int:
         return self._chips_per_group
 
-    def map(self, addr: int) -> DramCoord:
+    def coords(self, addr: int) -> Tuple[int, int, int, int, int, int]:
         if addr < 0:
             raise ValueError(f"negative address {addr:#x}")
         geo = self.geometry
@@ -134,9 +139,8 @@ class ChipInterleaveMapping(AddressMapping):
         slot = unit // (self.num_groups * geo.banks * geo.ranks)
         row = slot // self._units_per_row
         column = (slot % self._units_per_row) * self.unit_bytes + addr % self.unit_bytes
-        return DramCoord(rank=rank, bank=bank, row=self.row_base + row,
-                         column=column, chip_group=group,
-                         chips_per_group=self._chips_per_group)
+        return (rank, bank, self.row_base + row, column, group,
+                self._chips_per_group)
 
     def rows_used(self, region_bytes: int) -> int:
         bytes_per_row_layer = (
@@ -174,7 +178,7 @@ class RowLocalityMapping(AddressMapping):
     def chips_per_group(self) -> int:
         return self._chips_per_group
 
-    def map(self, addr: int) -> DramCoord:
+    def coords(self, addr: int) -> Tuple[int, int, int, int, int, int]:
         if addr < 0:
             raise ValueError(f"negative address {addr:#x}")
         geo = self.geometry
@@ -184,9 +188,8 @@ class RowLocalityMapping(AddressMapping):
         bank = (row_slab // self.num_groups) % geo.banks
         rank = (row_slab // (self.num_groups * geo.banks)) % geo.ranks
         row = row_slab // (self.num_groups * geo.banks * geo.ranks)
-        return DramCoord(rank=rank, bank=bank, row=self.row_base + row,
-                         column=column, chip_group=group,
-                         chips_per_group=self._chips_per_group)
+        return (rank, bank, self.row_base + row, column, group,
+                self._chips_per_group)
 
     def rows_used(self, region_bytes: int) -> int:
         bytes_per_row_layer = (

@@ -53,21 +53,22 @@ class DramEnergyModel:
         self.energy_act_nj = 0.0
         self.energy_rw_nj = 0.0
         # Event counts: a tally's key exists once its event has happened,
-        # even when the energy it added was zero.
-        self._activates = 0
-        self._burst_events = 0
+        # even when the energy it added was zero.  The DRAM controller adds
+        # to these tallies inline, in the order of the methods below.
+        self.activates = 0
+        self.burst_events = 0
         stats.pull = self._pull_stats
 
     def _pull_stats(self) -> None:
         counters = self.stats.counters
-        if self._activates:
+        if self.activates:
             counters["energy_act_nj"] = self.energy_act_nj
-        if self._burst_events:
+        if self.burst_events:
             counters["energy_rw_nj"] = self.energy_rw_nj
 
     def on_activate(self, chips: int) -> None:
         """An ACT(+eventual PRE) on ``chips`` chips of one rank."""
-        self._activates += 1
+        self.activates += 1
         self.energy_act_nj += self.params.act_pre_nj_per_chip * chips
 
     def on_burst(self, chips: int, bursts: int, is_write: bool) -> None:
@@ -77,7 +78,7 @@ class DramEnergyModel:
             if is_write
             else self.params.read_burst_nj_per_chip
         )
-        self._burst_events += 1
+        self.burst_events += 1
         self.energy_rw_nj += per * chips * bursts
 
     def finalize(self, end_cycle: int) -> None:

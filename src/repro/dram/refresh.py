@@ -33,22 +33,23 @@ class RefreshEngine:
         self.dimm = dimm
         self.engine = dimm.engine
         self.timing = dimm.timing
-        self._armed = False
-        self._last_activity = 0
+        #: Whether the refresh ticks are running, and the cycle of the last
+        #: traffic: the controller stamps ``last_activity`` on every submit
+        #: and calls :meth:`arm` while the engine is dormant.
+        self.armed = False
+        self.last_activity = 0
         self.refreshes = 0
 
-    def notify_activity(self) -> None:
-        """Controller hook: traffic arrived; make sure refresh is running."""
-        self._last_activity = self.engine.now
-        if not self._armed:
-            self._armed = True
-            self.engine.schedule(self.timing.trefi, self._tick)
+    def arm(self) -> None:
+        """Traffic arrived while dormant: start the refresh ticks."""
+        self.armed = True
+        self.engine.schedule(self.timing.trefi, self._tick)
 
     def _tick(self) -> None:
         now = self.engine.now
-        if now - self._last_activity > self.IDLE_INTERVALS * self.timing.trefi:
+        if now - self.last_activity > self.IDLE_INTERVALS * self.timing.trefi:
             # Dormant: the DIMM is idle; re-armed on the next submit.
-            self._armed = False
+            self.armed = False
             return
         self._refresh_all_ranks()
         self.engine.schedule(self.timing.trefi, self._tick)

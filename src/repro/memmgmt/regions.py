@@ -260,7 +260,7 @@ class RegionMap:
     # -- translation ------------------------------------------------------------
 
     def translate(self, request: MemoryRequest, requester: Optional[str] = None) -> None:
-        """Fill ``request.dimm_index`` and ``request.coord`` in place.
+        """Fill ``request.dimm_index`` and its DRAM coordinates in place.
 
         The region of the previous translation is tried first; the binary
         search runs only when ``request.addr`` falls outside it.
@@ -270,9 +270,10 @@ class RegionMap:
         if region is None or not (region.base <= addr < region.base + region.size):
             region = self._last = self.find(addr)
         dimm_index, local = region.layout.locate(addr - region.base, requester)
-        mapping = region.mappings[dimm_index]
         request.dimm_index = dimm_index
-        request.coord = mapping.map(local)
+        (request.rank, request.bank, request.row, request.column,
+         request.chip_group, request.chips_per_group) = (
+            region.mappings[dimm_index].coords(local))
 
     def dimm_of(self, addr: int, requester: Optional[str] = None) -> int:
         """The DIMM :meth:`translate` would pick for ``addr``, without a

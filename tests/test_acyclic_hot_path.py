@@ -16,14 +16,17 @@ from functools import partial
 from repro.core import Algorithm, OptimizationFlags
 from repro.core.registry import build_system
 from repro.cxl.flit import Message
-from repro.cxl.topology import RmwFlight, _AccessFlight
+from repro.cxl.topology import RmwFlight
 from repro.dram.request import MemoryRequest
 from repro.experiments.runner import ExperimentScale
 
 #: Per-message and per-access objects that must never be cyclic garbage.
-#: A ``partial`` is a message's next step on the wire (the next hop's
-#: ``send`` bound to the message).
-HOT_PATH_TYPES = (Message, partial, _AccessFlight, RmwFlight, MemoryRequest)
+#: A ``MemoryRequest`` is its own round trip's flight and points at its
+#: ``Message`` until the response leg starts; a ``partial`` is a message's
+#: next step on the wire (the next hop's ``send`` bound to the message) or
+#: a request leg's arrival step (the controller's or Atomic Engine's entry
+#: bound to the request).
+HOT_PATH_TYPES = (Message, partial, RmwFlight, MemoryRequest)
 
 
 def _run_and_collect(run):

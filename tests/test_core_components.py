@@ -265,11 +265,11 @@ class TestTaskSteps:
     def test_request_fields_match_positional_construction(self):
         # NdpModule._issue_mem_step builds requests positionally from an
         # AccessSpec; a reordered field would misfile them silently.
-        from dataclasses import fields
+        import inspect
 
         from repro.dram.request import MemoryRequest
 
-        names = [f.name for f in fields(MemoryRequest)][:7]
+        names = list(inspect.signature(MemoryRequest).parameters)[:7]
         assert names == ["addr", "size", "kind", "data_class", "task_id",
                          "source", "on_complete"]
         assert list(AccessSpec._fields) == names[:4]

@@ -28,25 +28,21 @@ def _noop():
 
 class TestMessageWireMath:
     def test_small_payload_rounds_to_flit(self):
-        m = Message(MessageKind.MEM_RESPONSE, payload_bytes=32, destination="d",
-                    on_delivered=_noop)
+        m = Message(MessageKind.MEM_RESPONSE, payload_bytes=32, on_delivered=_noop)
         assert m.unpacked_wire_bytes == FLIT_BYTES
         assert m.packed_wire_bytes == 34  # 32 + 2 B packed header
 
     def test_large_payload_multiple_flits(self):
-        m = Message(MessageKind.MEM_RESPONSE, payload_bytes=200, destination="d",
-                    on_delivered=_noop)
+        m = Message(MessageKind.MEM_RESPONSE, payload_bytes=200, on_delivered=_noop)
         assert m.unpacked_wire_bytes == 256
 
     def test_request_header_cost(self):
-        m = Message(MessageKind.MEM_REQUEST, payload_bytes=8, destination="d",
-                    on_delivered=_noop)
+        m = Message(MessageKind.MEM_REQUEST, payload_bytes=8, on_delivered=_noop)
         assert m.packed_wire_bytes == 24
 
     def test_payload_validation(self):
         with pytest.raises(ValueError):
-            Message(MessageKind.MEM_REQUEST, payload_bytes=0, destination="d",
-                    on_delivered=_noop)
+            Message(MessageKind.MEM_REQUEST, payload_bytes=0, on_delivered=_noop)
 
 
 def _wire(engine, chan, wire_bytes, on_delivered):
@@ -54,7 +50,7 @@ def _wire(engine, chan, wire_bytes, on_delivered):
     as one unpacked message."""
     assert wire_bytes % FLIT_BYTES == 0
     chan.send(Message(MessageKind.MEM_RESPONSE, payload_bytes=wire_bytes - 2,
-                      destination="d", on_delivered=on_delivered))
+                      on_delivered=on_delivered))
 
 
 class TestLink:
@@ -133,7 +129,7 @@ class TestPackedChannel:
 
     def _msg(self, size, on_delivered):
         return Message(MessageKind.MEM_RESPONSE, payload_bytes=size,
-                       destination="d", on_delivered=on_delivered)
+                       on_delivered=on_delivered)
 
     def test_unpacked_costs_whole_flits(self):
         engine, link, chan = self._channel(packing=False)
@@ -200,7 +196,7 @@ class TestPackedChannel:
         # ... so a small request message sent at cycle 0 is buffered.
         request = MemoryRequest(addr=0, size=8)
         chan.send(Message(MessageKind.MEM_REQUEST, payload_bytes=8,
-                          destination="d", on_delivered=_noop, cargo=request))
+                          on_delivered=_noop, cargo=request))
         assert chan.pending == 1
         engine.run()
         flushes = [event for event in tracer.events
@@ -353,6 +349,18 @@ class TestAccessPath:
         with pytest.raises(ValueError):
             pool.access(MemoryRequest(addr=0, size=8), "d0.0")
 
+    def test_fine_grained_request_to_unmodified_dimm_rejected(self):
+        # d0.1 is an unmodified CXL-DIMM: lockstep rank access only, so a
+        # 4-chip group fails when the request reaches its controller.
+        engine, pool = build_pool(CommParams(device_bias=True))
+        req = MemoryRequest(addr=0, size=32)
+        req.coord = ChipInterleaveMapping(GEO, chips_per_group=4).map(0)
+        req.dimm_index = 1
+        pool.access(req, "d0.0")
+        with pytest.raises(ValueError, match="lockstep rank access, got "
+                                             "group of 4 chips"):
+            engine.run()
+
     def test_local_atomic_runs_read_and_write(self):
         engine, pool = build_pool(CommParams(device_bias=True))
         done = []
@@ -386,3 +394,92 @@ class TestAccessPath:
         real = run(CommParams(device_bias=True))
         ideal = run(CommParams(device_bias=True).idealized())
         assert ideal < real
+
+
+class TestRoundTripRecords:
+    """A round trip runs on its request and builds at most one message.
+
+    The request leg's message is re-aimed at the route back for the
+    response; a same-node trip (an empty route) builds none.  An atomic
+    makes three round trips when routed (the atomic to its switch, then
+    the read and write halves from the switch) and two when module-local.
+    """
+
+    @staticmethod
+    def _count_messages(monkeypatch):
+        built = []
+        init = Message.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["kind"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Message, "__init__", counting_init)
+        return built
+
+    @staticmethod
+    def _pool(device_bias):
+        from repro.core.atomic_engine import AtomicEngineBank
+
+        engine, pool = build_pool(CommParams(device_bias=device_bias,
+                                             data_packing=True))
+        bank = AtomicEngineBank(engine, "atomics", pool, node="sw0",
+                                num_engines=1, compute_cycles=4)
+        pool.register_atomic_engine("sw0", bank)
+        return engine, pool
+
+    @pytest.mark.parametrize(
+        "src, dimm, kind, device_bias, messages, issued",
+        [
+            pytest.param("d0.0", 0, AccessKind.READ, True, 0, 1, id="local"),
+            pytest.param("d0.0", 1, AccessKind.READ, True, 1, 1,
+                         id="turnaround"),
+            pytest.param("d0.0", 1, AccessKind.WRITE, False, 1, 1,
+                         id="host-detour"),
+            pytest.param("d0.0", 1, AccessKind.ATOMIC_RMW, True, 3, 2,
+                         id="routed-atomic"),
+            pytest.param("d0.0", 0, AccessKind.ATOMIC_RMW, True, 0, 2,
+                         id="local-rmw"),
+            pytest.param("sw0", 1, AccessKind.ATOMIC_RMW, False, 2, 2,
+                         id="atomic-at-owning-switch"),
+        ],
+    )
+    def test_one_message_per_round_trip(self, monkeypatch, src, dimm, kind,
+                                        device_bias, messages, issued):
+        engine, pool = self._pool(device_bias)
+        built = self._count_messages(monkeypatch)
+        done = []
+        req = TestAccessPath()._request(kind=kind, dimm=dimm)
+        req.on_complete = done.append
+        pool.access(req, src)
+        engine.run()
+        assert done == [req]
+        assert req.latency > 0
+        assert pool.controllers[dimm].stats.get("issued") == issued
+        assert len(built) == messages
+        assert set(built) <= {MessageKind.MEM_REQUEST}
+        # A delivered request keeps no message or callback of its trip.
+        assert req.message is None and req.on_done is None
+
+    def test_atomic_at_owning_switch_takes_the_local_latency(self):
+        """A BEACON-S PE in the switch that owns the DIMM: the atomic's own
+        route is empty, so it reaches the Atomic Engine and comes back
+        after ``dimm_local_latency`` each way, around the RMW's two
+        switch-local DRAM trips."""
+        def latency(src):
+            engine, pool = self._pool(device_bias=False)
+            req = TestAccessPath()._request(kind=AccessKind.ATOMIC_RMW,
+                                            dimm=1)
+            pool.access(req, src)
+            engine.run()
+            return req.latency
+
+        # A read from the switch on the route each RMW half takes.
+        read = TestAccessPath()._request(dimm=1)
+        engine, pool = self._pool(device_bias=True)
+        pool.access(read, "sw0")
+        engine.run()
+        local = CommParams().dimm_local_latency
+        assert latency("sw0") > 2 * local + read.latency
+        # From a DIMM, the atomic crosses the fabric to the switch and back.
+        assert latency("d0.0") > latency("sw0")

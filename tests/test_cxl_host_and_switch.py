@@ -41,7 +41,6 @@ class TestHost:
         chan = PackedChannel(engine, "chan", root, host.bus, packing=False)
         arrivals = []
         chan.send(Message(MessageKind.MEM_RESPONSE, payload_bytes=638,
-                          destination="host",
                           on_delivered=lambda: arrivals.append(engine.now)))
         engine.run()
         assert arrivals == [20]  # 640 B: 10 serialize + 10 latency

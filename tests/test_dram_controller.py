@@ -127,6 +127,18 @@ class TestFineGrained:
         with pytest.raises(ValueError, match="lockstep"):
             ctrl.submit_when_possible(req)
 
+    @pytest.mark.parametrize("kind", list(DimmKind))
+    @pytest.mark.parametrize("chips", [1, 2, 4, 8, 16])
+    def test_validate_group_needs_chip_selects_below_rank_width(self, kind,
+                                                                chips):
+        dimm = make_setup(kind=kind)[1]
+        if chips < GEO.chips_per_rank and not kind.fine_grained:
+            with pytest.raises(ValueError, match="lockstep rank access, "
+                                                 f"got group of {chips} chips"):
+                dimm.validate_group(chips)
+        else:
+            dimm.validate_group(chips)
+
     def test_fine_grained_reads_fewer_bytes(self):
         def total_bytes(chips_per_group):
             engine, dimm, ctrl = make_setup()

@@ -10,17 +10,19 @@ same point first fills the process-wide caches (index cache, lazy
 imports), so the measured run does not depend on which tests ran before
 it.
 
-The ceilings (CPython 3.11) are FM seeding wheel 17.62, heap 18.63
-calls/event, and k-mer counting wheel 13.55, heap 14.87: measured counts
-plus 2% when they were last set.  Measured now: FM seeding 16.63 and
-17.62, k-mer counting 13.20 and 14.50, so the FM ceilings sit about 6%
-above the measurement since each ``Report`` makes one stat walk.
-Per-event counters are attribute tallies and cost no call; reading them
-back costs one ``pull`` hook call per owner scope per walk (77 hook calls
-and 368 ``walk`` frames on the FM point), a per-run cost that the FM
-point's 11,048 events spread to 0.04 calls/event.  A change that adds a
-frame to the per-request path fails here.  Raising a ceiling needs a
-measured reason in CHANGES.md.
+The ceilings (CPython 3.11) are FM seeding wheel 14.93, heap 15.94
+calls/event, and k-mer counting wheel 12.25, heap 13.58: the measured
+counts, FM seeding 14.64 and 15.63 and k-mer counting 12.01 and 13.31,
+plus 2%.  They were set when each memory round trip came to run on its
+request (one ``Message`` for both legs, no flight object, no
+``DramCoord``, the DRAM accounting inline), which took the FM point from
+16.63 and 17.62 and the k-mer point from 13.20 and 14.50.  Per-event
+counters are attribute tallies and cost no call; reading them back costs
+one ``pull`` hook call per owner scope per walk (77 hook calls and 368
+``walk`` frames on the FM point), a per-run cost that the FM point's
+11,048 events spread to 0.04 calls/event.  A change that adds a frame to
+the per-request path fails here.  Raising a ceiling needs a measured
+reason in CHANGES.md.
 
 Per-k-mer hashing is under 2% of the k-mer point's calls (hashing each
 k-mer in Python gave 13.53 calls/event on the wheel), so its calls/event
@@ -44,8 +46,8 @@ from repro.sim import SCHEDULER_ENV
 from repro.sim.engine import Engine
 
 #: Calls per executed event, per scheduler.
-CEILINGS = {"wheel": 17.62, "heap": 18.63}
-KMER_CEILINGS = {"wheel": 13.55, "heap": 14.87}
+CEILINGS = {"wheel": 14.93, "heap": 15.94}
+KMER_CEILINGS = {"wheel": 12.25, "heap": 13.58}
 
 #: Events each point executes; a different count means the point changed,
 #: not the host cost.

@@ -36,28 +36,28 @@ class TestMessageHeaders:
         assert REQUEST_HEADER_BYTES > PACKED_HEADER_BYTES
 
     def test_kind_specific_header(self):
-        req = Message(MessageKind.MEM_REQUEST, 8, "d", _noop)
-        resp = Message(MessageKind.MEM_RESPONSE, 8, "d", _noop)
-        ctrl = Message(MessageKind.CONTROL, 8, "d", _noop)
+        req = Message(MessageKind.MEM_REQUEST, 8, _noop)
+        resp = Message(MessageKind.MEM_RESPONSE, 8, _noop)
+        ctrl = Message(MessageKind.CONTROL, 8, _noop)
         assert req.header_bytes == REQUEST_HEADER_BYTES
         assert resp.header_bytes == PACKED_HEADER_BYTES
         assert ctrl.header_bytes == PACKED_HEADER_BYTES
 
     def test_exact_flit_boundary(self):
         m = Message(MessageKind.MEM_RESPONSE, FLIT_BYTES - PACKED_HEADER_BYTES,
-                    "d", _noop)
+                    _noop)
         assert m.unpacked_wire_bytes == FLIT_BYTES
         m2 = Message(MessageKind.MEM_RESPONSE,
-                     FLIT_BYTES - PACKED_HEADER_BYTES + 1, "d", _noop)
+                     FLIT_BYTES - PACKED_HEADER_BYTES + 1, _noop)
         assert m2.unpacked_wire_bytes == 2 * FLIT_BYTES
 
     def test_missing_callback_is_rejected(self):
         # A message's last step is its callback, so it must have one.
         with pytest.raises(ValueError, match="task message needs an "
                                              "on_delivered callback"):
-            Message(MessageKind.TASK, 8, "d")
+            Message(MessageKind.TASK, 8)
         with pytest.raises(ValueError, match="mem_request"):
-            Message(MessageKind.MEM_REQUEST, 8, "d", on_delivered=None)
+            Message(MessageKind.MEM_REQUEST, 8, on_delivered=None)
 
 
 class TestMemoryRequest:

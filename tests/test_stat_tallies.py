@@ -143,7 +143,7 @@ class TestPull:
 
 def _message(payload_bytes=8):
     return Message(MessageKind.MEM_RESPONSE, payload_bytes=payload_bytes,
-                   destination="d", on_delivered=lambda: None)
+                   on_delivered=lambda: None)
 
 
 class TestKeysOnFirstWrite:
@@ -268,7 +268,9 @@ def test_metrics_sampler_sees_live_tallies():
 #: memory request, operand or compute step.
 PER_EVENT = {
     "repro.cxl.packer": ["PackedChannel.send", "PackedChannel._take_batch"],
-    "repro.cxl.topology": ["Fabric.route", "Fabric.round_trip"],
+    "repro.cxl.topology": ["Fabric.route", "Fabric.round_trip",
+                           "MemoryPool.access", "MemoryPool._launch"],
+    "repro.dram.request": ["MemoryRequest.respond", "MemoryRequest.deliver"],
     "repro.cxl.host": ["Host.record_detour"],
     "repro.cxl.switch": ["CxlSwitch.record_turnaround"],
     "repro.dram.controller": ["DimmController.submit_when_possible",
