@@ -42,7 +42,7 @@ def main() -> None:
     print("wrote trace.json + metrics.csv")
 
     print("\ntop 5 components by total span time:")
-    for path, busy_us in busiest_components(recorder.chrome_events(), n=5):
+    for path, busy_us in busiest_components(recorder, n=5):
         print(f"  {path:48s} {busy_us:12,.1f} us")
     print("\nopen trace.json in https://ui.perfetto.dev or chrome://tracing")
 

@@ -292,7 +292,7 @@ def _run_trace(args, parser) -> int:
         print(f"[trace] wrote {args.metrics_out} "
               f"({session.sampler.sample_count} metric samples)")
     print("[trace] top components by busy time:")
-    for path, busy_us in busiest_components(recorder.chrome_events()):
+    for path, busy_us in busiest_components(recorder):
         print(f"    {path:44s} {busy_us:14,.1f} us")
     print("[trace] open in https://ui.perfetto.dev or chrome://tracing")
     return 0

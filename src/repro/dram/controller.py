@@ -157,7 +157,9 @@ class DimmController(Component):
 
         An already-pending pass at or before ``target`` covers this wakeup;
         a pending *later* pass is cancelled (O(1) via its handle) and
-        replaced, so superseded wakeups never reach the event loop.
+        replaced, so superseded wakeups never reach the event loop.  A
+        pass due now can never be superseded (every later wakeup targets
+        now or later and returns early), so it needs no handle.
         """
         target = self.engine.now + delay
         if self._wake_at is not None:
@@ -165,9 +167,13 @@ class DimmController(Component):
                 return
             self._wake_handle.cancel()
         self._wake_at = target
-        self._wake_handle = self.engine.schedule_cancellable(
-            delay, self._schedule_pass
-        )
+        if delay:
+            self._wake_handle = self.engine.schedule_cancellable(
+                delay, self._schedule_pass
+            )
+        else:
+            self._wake_handle = None
+            self.engine.schedule(0, self._schedule_pass)
 
     def _schedule_pass(self) -> None:
         """Issue every request FR-FCFS finds ready now, then wake at the

@@ -4,7 +4,7 @@
 simulator.  A :class:`TraceRecorder` installed on the event engine (via
 :class:`TraceSession` or :func:`install`) records typed spans and instant
 events — DRAM commands, CXL flit transfers, NDP task/compute activity,
-memory-management operations — with timestamps in simulated time, and a
+memory-management operations — as records in simulated cycles, and a
 :class:`MetricsSampler` snapshots :class:`~repro.sim.stats.StatScope`
 counters at a configurable simulated-time interval.  Exporters write
 Chrome/Perfetto ``trace_event`` JSON (open in https://ui.perfetto.dev or
@@ -35,6 +35,7 @@ from repro.obs.export import (
     busiest_components,
     load_trace,
     load_trace_payload,
+    recorder_from_chrome,
     trace_layers,
     write_chrome_trace,
 )
@@ -61,6 +62,7 @@ from repro.obs.recorder import (
     DEFAULT_EVENT_LIMIT,
     TRACE_CATEGORIES,
     NullRecorder,
+    TraceRecord,
     TraceRecorder,
 )
 from repro.obs.session import TraceSession, current_recorder, install, uninstall
@@ -82,6 +84,7 @@ __all__ = [
     "TRACE_CATEGORIES",
     "TaskProfile",
     "TraceFormatError",
+    "TraceRecord",
     "TraceRecorder",
     "TraceSession",
     "build_report",
@@ -94,6 +97,7 @@ __all__ = [
     "load_trace_payload",
     "profile_events",
     "profile_trace_file",
+    "recorder_from_chrome",
     "render_summary",
     "trace_layers",
     "uninstall",

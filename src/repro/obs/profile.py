@@ -3,11 +3,12 @@
 :class:`LatencyProfiler` subscribes to a live
 :class:`~repro.obs.recorder.TraceRecorder` (see
 :meth:`~repro.obs.recorder.TraceRecorder.subscribe`) and stitches the
-span/instant/counter stream into per-request and per-task latency
+span/instant/counter records into per-request and per-task latency
 decompositions *as the simulation runs* — no post-hoc JSON reload on the
 hot path, and complete even when the recorder's storage ``limit``
 truncates what reaches disk.  The same stitching runs post-hoc over a
-saved trace via :func:`profile_trace_file`.
+saved trace via :func:`profile_trace_file`, whose events
+:mod:`repro.obs.export` turns back into the same cycle records.
 
 The result is a :class:`ProfileReport`: a deterministic JSON artifact
 (schema :data:`PROFILE_SCHEMA`) holding, per simulated system, the phase
@@ -29,6 +30,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import load_trace_payload, recorder_from_chrome
+from repro.obs.recorder import TraceRecorder
 from repro.obs.stitch import SpanStitcher, StitchedRun
 from repro.schemas import SCHEMAS
 
@@ -386,7 +389,7 @@ def build_report(
 
 class LatencyProfiler:
     """In-stream latency profiler: a recorder listener that stitches the
-    event feed live.
+    record feed live.
 
     Usage::
 
@@ -400,12 +403,12 @@ class LatencyProfiler:
     the current accumulated state.
     """
 
-    def __init__(self, tck_ns: float = 1.25) -> None:
-        self.stitcher = SpanStitcher(tck_ns=tck_ns)
-        self.recorder = None
+    def __init__(self) -> None:
+        self.stitcher = SpanStitcher()
+        self.recorder: Optional[TraceRecorder] = None
 
-    def attach(self, recorder) -> "LatencyProfiler":
-        """Subscribe to ``recorder``'s event feed; returns ``self``."""
+    def attach(self, recorder: TraceRecorder) -> "LatencyProfiler":
+        """Subscribe to ``recorder``'s record feed; returns ``self``."""
         self.recorder = recorder
         recorder.subscribe(self.stitcher.feed)
         return self
@@ -417,15 +420,11 @@ class LatencyProfiler:
         the recorder's *storage* cap, so the profiler saw every event
         even if the trace file on disk did not keep them all.
         """
-        if self.recorder is not None:
-            self.stitcher.feed_many(self.recorder.metadata_events())
-            for pid, now_cycles in self.recorder.runtimes.items():
-                self.stitcher.note_runtime(pid, now_cycles)
         return build_report(
-            self.stitcher.finalize(),
+            self.stitcher.finalize(self.recorder),
             figure=figure,
             scale=scale,
-            tck_ns=self.stitcher.tck_ns,
+            tck_ns=self.recorder.tck_ns,
             source="live",
             truncated=False,
             events_dropped=0,
@@ -441,14 +440,16 @@ def profile_events(
     events_dropped: int = 0,
     runtimes: Optional[Dict[int, int]] = None,
 ) -> ProfileReport:
-    """Stitch an in-memory list of trace-event dicts into a report."""
-    stitcher = SpanStitcher(tck_ns=tck_ns)
-    stitcher.feed_many(events)
-    if runtimes:
-        for pid, now_cycles in runtimes.items():
-            stitcher.note_runtime(int(pid), int(now_cycles))
+    """Stitch a list of Chrome trace-event dicts (e.g. a loaded file's
+    ``traceEvents``) into a report, through the same records the live
+    profiler sees (:func:`~repro.obs.export.recorder_from_chrome`)."""
+    recorder = recorder_from_chrome(events, tck_ns=tck_ns)
+    for pid, now_cycles in (runtimes or {}).items():
+        recorder.note_runtime(int(pid), int(now_cycles))
+    stitcher = SpanStitcher()
+    stitcher.feed_many(recorder.events)
     return build_report(
-        stitcher.finalize(),
+        stitcher.finalize(recorder),
         figure=figure,
         scale=scale,
         tck_ns=tck_ns,
@@ -467,22 +468,16 @@ def profile_trace_file(path: str, figure: str = "") -> ProfileReport:
     request, but coverage is partial; prefer in-stream profiling
     (:class:`LatencyProfiler`) for complete attribution.
     """
-    from repro.obs.export import load_trace_payload
-
     payload = load_trace_payload(path)
     other = payload.get("otherData") or {}
     dropped = int(other.get("dropped", 0))
-    runtimes = {
-        int(pid): int(cycles)
-        for pid, cycles in (other.get("runtimes_cycles") or {}).items()
-    }
     return profile_events(
-        list(payload.get("traceEvents", [])),
+        payload["traceEvents"],
         tck_ns=float(other.get("tck_ns", 1.25)),
         figure=figure,
         truncated=bool(other.get("truncated", dropped > 0)),
         events_dropped=dropped,
-        runtimes=runtimes,
+        runtimes=other.get("runtimes_cycles"),
     )
 
 

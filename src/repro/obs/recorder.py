@@ -1,13 +1,15 @@
 """Trace recorders: the event sink behind every instrument site.
 
-A :class:`TraceRecorder` accumulates Chrome ``trace_event`` dictionaries —
-complete spans (``ph: "X"``), instants (``"i"``), counters (``"C"``), and
-async begin/end pairs (``"b"``/``"e"``) — with timestamps converted from
-simulated DRAM cycles to trace microseconds (``cycles * tck_ns / 1000``).
-Each engine gets its own trace ``pid`` (its :attr:`~repro.sim.engine.
-Engine.trace_id`), so the many single-shot systems built during one figure
-campaign appear as separate processes on one timeline; component paths
-become named threads within the process.
+A :class:`TraceRecorder` keeps one :class:`TraceRecord` per event —
+complete spans (phase ``"X"``), instants (``"i"``), counters (``"C"``), and
+async begin/end pairs (``"b"``/``"e"``) — with every time in simulated
+DRAM cycles.  Each engine gets its own trace ``pid`` (its
+:attr:`~repro.sim.engine.Engine.trace_id`), so the many single-shot
+systems built during one figure campaign appear as separate processes on
+one timeline; component paths become numbered threads within the
+process.  Microseconds, hex ids and metadata events exist only in a saved
+file: :mod:`repro.obs.export` is the one module that knows the Chrome
+``trace_event`` format.
 
 Instrument sites follow one pattern::
 
@@ -23,7 +25,7 @@ want to hold a recorder unconditionally.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 #: The instrumented layers.  ``dram`` — controller command/data activity;
 #: ``cxl`` — link serialization, flit packing, routing decisions; ``ndp`` —
@@ -37,6 +39,27 @@ TRACE_CATEGORIES: Tuple[str, ...] = ("dram", "cxl", "ndp", "mem", "req")
 #: few hundred thousand events; the cap keeps worst-case memory and JSON
 #: size bounded while :attr:`TraceRecorder.dropped` reports what was cut.
 DEFAULT_EVENT_LIMIT = 2_000_000
+
+
+class TraceRecord(NamedTuple):
+    """One recorded event, in simulated cycles.
+
+    ``ph`` is the phase letter (``X``/``i``/``C``/``b``/``e``), ``tid`` the
+    interned component path (``0`` for counters, whose ``name`` is the
+    full ``path.series`` track name), ``dur`` the span length (``0``
+    except for ``X``), ``event_id`` the async span id (``None`` except for
+    ``b``/``e``) and ``args`` the site's arguments (``None`` when empty).
+    """
+
+    ph: str
+    cat: str
+    name: str
+    pid: int
+    tid: int
+    cycle: int
+    dur: int
+    event_id: Optional[int]
+    args: Optional[Dict[str, object]]
 
 
 class NullRecorder:
@@ -82,14 +105,14 @@ class NullRecorder:
 
 
 class TraceRecorder:
-    """Collects typed trace events from the instrument sites.
+    """Collects typed trace records from the instrument sites.
 
     Parameters
     ----------
     tck_ns:
         Simulated nanoseconds per engine cycle (1.25 for the DDR4-1600
-        devices every experiment uses); converts cycle timestamps to the
-        microsecond ``ts`` values the ``trace_event`` format expects.
+        devices every experiment uses); the exporter uses it to write the
+        microsecond times a trace file carries.
     categories:
         Keep only these categories (see :data:`TRACE_CATEGORIES`);
         ``None`` keeps everything.
@@ -122,22 +145,25 @@ class TraceRecorder:
                     f"known: {list(TRACE_CATEGORIES)}"
                 )
         self.limit = limit
-        self.events: List[Dict[str, object]] = []
+        self.events: List[TraceRecord] = []
         self.dropped = 0
         #: Optional :class:`~repro.obs.metrics.MetricsSampler`; when set,
         #: every record call gives it a chance to snapshot counters.
         self.metrics = None
-        #: In-stream subscribers: callables invoked with every event dict
-        #: that passes the *category* filter, before the storage cap is
-        #: applied — so a listener (e.g. the latency-attribution profiler)
-        #: sees the complete feed even when ``limit`` truncates storage.
+        #: In-stream subscribers: callables invoked with every record that
+        #: passes the *category* filter, before the storage cap is applied
+        #: — so a listener (e.g. the latency-attribution profiler) sees the
+        #: complete feed even when ``limit`` truncates storage.
         self.listeners: List = []
         #: Final engine clock per trace pid (``Engine.run`` notes its clock
         #: here on every return), so utilization denominators are exact.
         self.runtimes: Dict[int, int] = {}
-        self._process_names: Dict[int, str] = {}
-        self._root_scopes: List[Tuple[int, object]] = []
-        self._thread_ids: Dict[Tuple[int, str], int] = {}
+        #: pid -> root-component label (the trace process name).
+        self.process_names: Dict[int, str] = {}
+        #: (pid, component path) -> interned thread id, in first-seen order.
+        self.thread_ids: Dict[Tuple[int, str], int] = {}
+        #: Registered ``(pid, StatScope)`` roots (metric sampling targets).
+        self.root_scopes: List[Tuple[int, object]] = []
 
     def __bool__(self) -> bool:
         return True
@@ -151,17 +177,12 @@ class TraceRecorder:
     def register_root(self, pid: int, name: str, scope) -> None:
         """Bind a root component: names the trace process, and registers
         its :class:`~repro.sim.stats.StatScope` tree for metric sampling."""
-        self._process_names.setdefault(pid, name)
-        self._root_scopes.append((pid, scope))
+        self.process_names.setdefault(pid, name)
+        self.root_scopes.append((pid, scope))
 
-    @property
-    def root_scopes(self) -> List[Tuple[int, object]]:
-        """Registered ``(pid, StatScope)`` roots (metric sampling targets)."""
-        return list(self._root_scopes)
-
-    def process_name(self, pid: int) -> str:
-        """Display name of trace process ``pid`` (root component label)."""
-        return self._process_names.get(pid, f"engine{pid}")
+    def thread_names(self) -> Dict[Tuple[int, int], str]:
+        """``(pid, tid) -> component path`` for every interned thread."""
+        return {(pid, tid): path for (pid, path), tid in self.thread_ids.items()}
 
     def note_runtime(self, pid: int, now_cycles: int) -> None:
         """Record the final engine clock of trace process ``pid``."""
@@ -169,7 +190,7 @@ class TraceRecorder:
             self.runtimes[pid] = now_cycles
 
     def subscribe(self, listener) -> None:
-        """Register an in-stream event subscriber (see :attr:`listeners`)."""
+        """Register an in-stream record subscriber (see :attr:`listeners`)."""
         self.listeners.append(listener)
 
     @property
@@ -179,15 +200,12 @@ class TraceRecorder:
 
     # -- internals -----------------------------------------------------------------
 
-    def _us(self, cycles: float) -> float:
-        return cycles * self.tck_ns / 1000.0
-
     def _tid(self, pid: int, path: str) -> int:
         key = (pid, path)
-        tid = self._thread_ids.get(key)
+        tid = self.thread_ids.get(key)
         if tid is None:
-            tid = len(self._thread_ids) + 1
-            self._thread_ids[key] = tid
+            tid = len(self.thread_ids) + 1
+            self.thread_ids[key] = tid
         return tid
 
     def _admit(self, cat: str, cycle: int, pid: int) -> bool:
@@ -201,20 +219,20 @@ class TraceRecorder:
         if not self.listeners and (
             self.limit is not None and len(self.events) >= self.limit
         ):
-            # No listeners: skip building the event dict entirely.
+            # No listeners: skip building the record entirely.
             self.dropped += 1
             return False
         return True
 
-    def _commit(self, event: Dict[str, object]) -> None:
-        """Dispatch an admitted event to listeners, then store it (or count
-        it as dropped once the storage cap is reached)."""
+    def _commit(self, record: TraceRecord) -> None:
+        """Dispatch an admitted record to listeners, then store it (or
+        count it as dropped once the storage cap is reached)."""
         for listener in self.listeners:
-            listener(event)
+            listener(record)
         if self.limit is not None and len(self.events) >= self.limit:
             self.dropped += 1
             return
-        self.events.append(event)
+        self.events.append(record)
 
     # -- record API ---------------------------------------------------------------
 
@@ -228,17 +246,12 @@ class TraceRecorder:
         pid: int = 0,
         args: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Record a complete span (``ph: "X"``) on component ``path``."""
-        if not self._admit(cat, start_cycle, pid):
-            return
-        event: Dict[str, object] = {
-            "ph": "X", "cat": cat, "name": name,
-            "pid": pid, "tid": self._tid(pid, path),
-            "ts": self._us(start_cycle), "dur": self._us(dur_cycles),
-        }
-        if args:
-            event["args"] = args
-        self._commit(event)
+        """Record a complete span (phase ``"X"``) on component ``path``."""
+        if self._admit(cat, start_cycle, pid):
+            self._commit(TraceRecord(
+                "X", cat, name, pid, self._tid(pid, path),
+                start_cycle, dur_cycles, None, args or None,
+            ))
 
     def instant(
         self,
@@ -249,17 +262,12 @@ class TraceRecorder:
         pid: int = 0,
         args: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Record an instant event (``ph: "i"``, thread scope)."""
-        if not self._admit(cat, cycle, pid):
-            return
-        event: Dict[str, object] = {
-            "ph": "i", "s": "t", "cat": cat, "name": name,
-            "pid": pid, "tid": self._tid(pid, path),
-            "ts": self._us(cycle),
-        }
-        if args:
-            event["args"] = args
-        self._commit(event)
+        """Record an instant event (phase ``"i"``, thread scope)."""
+        if self._admit(cat, cycle, pid):
+            self._commit(TraceRecord(
+                "i", cat, name, pid, self._tid(pid, path),
+                cycle, 0, None, args or None,
+            ))
 
     def counter(
         self,
@@ -270,14 +278,12 @@ class TraceRecorder:
         values: Dict[str, float],
         pid: int = 0,
     ) -> None:
-        """Record a counter sample (``ph: "C"``) — one track per series."""
-        if not self._admit(cat, cycle, pid):
-            return
-        self._commit({
-            "ph": "C", "cat": cat, "name": f"{path}.{name}",
-            "pid": pid, "tid": 0,
-            "ts": self._us(cycle), "args": dict(values),
-        })
+        """Record a counter sample (phase ``"C"``) — one track per series."""
+        if self._admit(cat, cycle, pid):
+            self._commit(TraceRecord(
+                "C", cat, f"{path}.{name}", pid, 0,
+                cycle, 0, None, dict(values),
+            ))
 
     def async_begin(
         self,
@@ -289,9 +295,13 @@ class TraceRecorder:
         pid: int = 0,
         args: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Open an async span (``ph: "b"``) — e.g. a task's lifetime,
+        """Open an async span (phase ``"b"``) — e.g. a task's lifetime,
         which parks and resumes across many engine callbacks."""
-        self._async(cat, "b", name, path, cycle, event_id, pid, args)
+        if self._admit(cat, cycle, pid):
+            self._commit(TraceRecord(
+                "b", cat, name, pid, self._tid(pid, path),
+                cycle, 0, event_id, args or None,
+            ))
 
     def async_end(
         self,
@@ -305,20 +315,11 @@ class TraceRecorder:
     ) -> None:
         """Close an async span opened by :meth:`async_begin` (same
         ``cat``/``name``/``event_id``)."""
-        self._async(cat, "e", name, path, cycle, event_id, pid, args)
-
-    def _async(self, cat, ph, name, path, cycle, event_id, pid, args) -> None:
-        if not self._admit(cat, cycle, pid):
-            return
-        event: Dict[str, object] = {
-            "ph": ph, "cat": cat, "name": name,
-            "id": f"0x{event_id:x}",
-            "pid": pid, "tid": self._tid(pid, path),
-            "ts": self._us(cycle),
-        }
-        if args:
-            event["args"] = args
-        self._commit(event)
+        if self._admit(cat, cycle, pid):
+            self._commit(TraceRecord(
+                "e", cat, name, pid, self._tid(pid, path),
+                cycle, 0, event_id, args or None,
+            ))
 
     # -- reporting ----------------------------------------------------------------
 
@@ -329,26 +330,4 @@ class TraceRecorder:
 
     def layers(self) -> FrozenSet[str]:
         """Categories that actually recorded at least one event."""
-        return frozenset(str(e["cat"]) for e in self.events)
-
-    def metadata_events(self) -> List[Dict[str, object]]:
-        """Chrome ``M`` events naming every process (system) and thread
-        (component path) seen so far."""
-        out: List[Dict[str, object]] = []
-        for pid, name in sorted(self._process_names.items()):
-            out.append({
-                "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                "args": {"name": name},
-            })
-        for (pid, path), tid in sorted(
-            self._thread_ids.items(), key=lambda item: item[1]
-        ):
-            out.append({
-                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                "args": {"name": path},
-            })
-        return out
-
-    def chrome_events(self) -> List[Dict[str, object]]:
-        """Metadata + recorded events, ready for ``traceEvents``."""
-        return self.metadata_events() + self.events
+        return frozenset(record.cat for record in self.events)

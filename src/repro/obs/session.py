@@ -77,9 +77,7 @@ class TraceSession:
             self.recorder.metrics = self.sampler
         self.profiler: Optional[LatencyProfiler] = None
         if profile:
-            self.profiler = LatencyProfiler(tck_ns=tck_ns).attach(
-                self.recorder
-            )
+            self.profiler = LatencyProfiler().attach(self.recorder)
         self._previous: Optional[TraceRecorder] = None
 
     def __enter__(self) -> "TraceSession":

@@ -9,23 +9,27 @@ its ``req_id`` (the async ``req``/``mem_req`` lifecycle span, the ``req``
 arg on DRAM spans, the ``reqs`` list on ``xfer``/``flit_flush`` events)
 and every task its ``task_id``.
 
-The stitcher consumes Chrome ``trace_event`` dictionaries — the exact
-objects a :class:`~repro.obs.recorder.TraceRecorder` records — either
-in-stream (as a recorder listener, no JSON round trip) or post-hoc from a
-loaded trace file.  Events may arrive in any order; unmatched halves are
-counted, never fatal.
+The stitcher consumes the exact cycle-valued records
+(:class:`~repro.obs.recorder.TraceRecord`) a
+:class:`~repro.obs.recorder.TraceRecorder` keeps, either in-stream (as a
+recorder listener) or post-hoc from a saved trace that
+:func:`repro.obs.export.recorder_from_chrome` turned back into records.  Events may arrive in any order; unmatched halves are
+counted, never fatal.  Thread and process names and exact engine runtimes
+come from the recorder at :meth:`SpanStitcher.finalize` time.
 
-All arithmetic is integer DRAM cycles (timestamps are converted back from
-trace microseconds), and each stitched request's phase decomposition sums
-to its end-to-end latency *by construction*: measured sub-components are
-clamped into their enclosing interval and the remainder is reported as an
-explicit ``*_other`` phase rather than silently lost.
+All arithmetic is integer DRAM cycles, and each stitched request's phase
+decomposition sums to its end-to-end latency *by construction*: measured
+sub-components are clamped into their enclosing interval and the
+remainder is reported as an explicit ``*_other`` phase rather than
+silently lost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.recorder import TraceRecord, TraceRecorder
 
 #: Phase-key prefixes: the request leg (entry to controller arrival), the
 #: response leg (service end to completion), and ``fab_`` for requests
@@ -34,6 +38,9 @@ from typing import Dict, List, Optional, Tuple
 LEG_REQUEST = "req"
 LEG_RESPONSE = "resp"
 LEG_FABRIC = "fab"
+
+#: Shared stand-in for a record without args (never mutated).
+_NO_ARGS: Dict[str, object] = {}
 
 #: Mapping from a link's ``role`` arg to the attribution component its
 #: serialization (+ propagation, for buses) cycles land in.
@@ -63,10 +70,6 @@ class _RequestTrace:
     begin: Optional[int] = None
     end: Optional[int] = None
     task: Optional[int] = None
-    src: Optional[str] = None
-    dst: Optional[str] = None
-    kind: Optional[str] = None
-    size: Optional[int] = None
     enq: Optional[int] = None
     svc_start: Optional[int] = None
     svc_dur: Optional[int] = None
@@ -83,7 +86,6 @@ class _TaskTrace:
     begin: Optional[int] = None
     end: Optional[int] = None
     algorithm: Optional[str] = None
-    node: Optional[str] = None
     computes: List[Tuple[int, int]] = field(default_factory=list)
     stalls: List[int] = field(default_factory=list)
     readies: List[int] = field(default_factory=list)
@@ -160,25 +162,18 @@ class StitchedRun:
 
 
 class SpanStitcher:
-    """Incremental trace-event consumer that rebuilds request/task stories.
+    """Incremental trace-record consumer that rebuilds request/task stories.
 
-    Feed it events in any order (listener callback or loaded trace list),
-    then call :meth:`finalize` once.  ``tck_ns`` must match the recorder
-    that produced the events so microsecond timestamps convert back to the
-    original integer cycles exactly.
+    Feed it records in any order (listener callback or a replayed
+    recorder), then call :meth:`finalize` once with the recorder that
+    produced them.
     """
 
-    def __init__(self, tck_ns: float = 1.25) -> None:
-        if tck_ns <= 0:
-            raise ValueError("tck_ns must be positive")
-        self.tck_ns = float(tck_ns)
+    def __init__(self) -> None:
         self._requests: Dict[Tuple[int, int], _RequestTrace] = {}
         self._tasks: Dict[Tuple[int, int], _TaskTrace] = {}
         self._busy: Dict[Tuple[int, int], int] = {}
         self._stacks: Dict[Tuple[str, int, int, str], int] = {}
-        self._names: Dict[Tuple[int, int], str] = {}
-        self._pnames: Dict[int, str] = {}
-        self._runtimes: Dict[int, int] = {}
         self._max_ts: Dict[int, int] = {}
         self._mc_q: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._pe_samples: Dict[Tuple[int, str], List[Tuple[int, int, int]]] = {}
@@ -186,59 +181,34 @@ class SpanStitcher:
         self._turnarounds: Dict[int, int] = {}
         self.events_seen = 0
 
-    # -- unit conversion ----------------------------------------------------------
-
-    def _cyc(self, us: float) -> int:
-        return int(round(float(us) * 1000.0 / self.tck_ns))
-
     # -- feeding ------------------------------------------------------------------
 
-    def feed_many(self, events) -> None:
-        """Feed an iterable of trace-event dicts."""
-        for event in events:
-            self.feed(event)
+    def feed_many(self, records) -> None:
+        """Feed an iterable of trace records."""
+        for record in records:
+            self.feed(record)
 
-    def feed(self, event: Dict[str, object]) -> None:
-        """Consume one trace-event dict (metadata events included)."""
-        ph = event.get("ph")
-        if ph == "M":
-            self._feed_metadata(event)
-            return
+    def feed(self, record: TraceRecord) -> None:
+        """Consume one trace record."""
+        ph, cat, name, pid, tid, ts, dur, event_id, args = record
         self.events_seen += 1
-        pid = int(event.get("pid", 0))
-        ts = self._cyc(event.get("ts", 0.0))
-        if ts > self._max_ts.get(pid, 0):
-            self._max_ts[pid] = ts
-        if ph == "X":
-            self._feed_span(event, pid, ts)
-        elif ph in ("b", "e"):
-            self._feed_async(event, pid, ts, ph)
-        elif ph == "i":
-            self._feed_instant(event, pid, ts)
-        elif ph == "C":
-            self._feed_counter(event, pid, ts)
-
-    def _feed_metadata(self, event) -> None:
-        args = event.get("args") or {}
-        pid = int(event.get("pid", 0))
-        if event.get("name") == "thread_name":
-            self._names[(pid, int(event.get("tid", 0)))] = str(
-                args.get("name", "")
-            )
-        elif event.get("name") == "process_name":
-            self._pnames[pid] = str(args.get("name", f"engine{pid}"))
-
-    def _feed_span(self, event, pid: int, ts: int) -> None:
-        tid = int(event.get("tid", 0))
-        dur = self._cyc(event.get("dur", 0.0))
         if ts + dur > self._max_ts.get(pid, 0):
             self._max_ts[pid] = ts + dur
-        cat = str(event.get("cat", ""))
-        name = str(event.get("name", ""))
+        if args is None:
+            args = _NO_ARGS
+        if ph == "X":
+            self._feed_span(cat, name, pid, tid, ts, dur, args)
+        elif ph == "b" or ph == "e":
+            self._feed_async(cat, name, pid, ts, event_id, args, ph == "b")
+        elif ph == "i":
+            self._feed_instant(name, pid, ts, args)
+        elif ph == "C":
+            self._feed_counter(name, pid, ts, args)
+
+    def _feed_span(self, cat, name, pid, tid, ts, dur, args) -> None:
         self._busy[(pid, tid)] = self._busy.get((pid, tid), 0) + dur
         key = (cat, pid, tid, name)
         self._stacks[key] = self._stacks.get(key, 0) + dur
-        args = event.get("args") or {}
         if cat == "dram" and "req" in args:
             rec = self._request(pid, int(args["req"]))
             rec.svc_start = ts
@@ -252,53 +222,31 @@ class SpanStitcher:
                 (ts, int(args.get("queue_depth", 0)))
             )
         elif cat == "cxl" and name == "xfer" and "reqs" in args:
-            hop = dict(
-                start=ts,
-                serialize=dur,
-                lat=int(args.get("lat", 0)),
-                wait=int(args.get("wait", 0)),
-                role=str(args.get("role", "link")),
-            )
+            hop = (ts, dur, int(args.get("lat", 0)), int(args.get("wait", 0)),
+                   str(args.get("role", "link")))
             for rid in args["reqs"]:
-                self._request(pid, int(rid)).hops.append(_Hop(**hop))
+                self._request(pid, int(rid)).hops.append(_Hop(*hop))
         elif cat == "ndp" and name == "compute" and "task" in args:
             self._task(pid, int(args["task"])).computes.append((ts, dur))
 
-    def _feed_async(self, event, pid: int, ts: int, ph: str) -> None:
-        name = str(event.get("name", ""))
-        cat = str(event.get("cat", ""))
-        raw_id = event.get("id", "0x0")
-        try:
-            event_id = int(str(raw_id), 16)
-        except ValueError:
-            return
-        args = event.get("args") or {}
+    def _feed_async(self, cat, name, pid, ts, event_id, args, begin) -> None:
         if cat == "req" and name == "mem_req":
             rec = self._request(pid, event_id)
-            if ph == "b":
+            if begin:
                 rec.begin = ts
-                rec.task = (
-                    int(args["task"]) if args.get("task") is not None
-                    else rec.task
-                )
-                rec.src = args.get("src")
-                rec.dst = args.get("dst")
-                rec.kind = args.get("kind")
-                rec.size = args.get("size")
+                if args.get("task") is not None:
+                    rec.task = int(args["task"])
             else:
                 rec.end = ts
         elif cat == "ndp" and name == "task":
             task = self._task(pid, event_id)
-            if ph == "b":
+            if begin:
                 task.begin = ts
                 task.algorithm = args.get("algorithm")
-                task.node = args.get("node")
             else:
                 task.end = ts
 
-    def _feed_instant(self, event, pid: int, ts: int) -> None:
-        name = str(event.get("name", ""))
-        args = event.get("args") or {}
+    def _feed_instant(self, name, pid, ts, args) -> None:
         if name == "flit_flush" and "reqs" in args:
             waits = args.get("waits") or []
             for index, rid in enumerate(args["reqs"]):
@@ -313,29 +261,29 @@ class SpanStitcher:
         elif name == "turnaround":
             self._turnarounds[pid] = self._turnarounds.get(pid, 0) + 1
 
-    def _feed_counter(self, event, pid: int, ts: int) -> None:
-        name = str(event.get("name", ""))
+    def _feed_counter(self, name, pid, ts, values) -> None:
         if not name.endswith(".pes_busy"):
             return
-        values = event.get("args") or {}
         path = name[: -len(".pes_busy")]
         self._pe_samples.setdefault((pid, path), []).append(
             (ts, int(values.get("busy", 0)), int(values.get("total", 0)))
         )
 
-    def note_runtime(self, pid: int, now_cycles: int) -> None:
-        """Record a pid's exact final engine clock (overrides the
-        last-event-timestamp fallback)."""
-        if now_cycles > self._runtimes.get(pid, 0):
-            self._runtimes[pid] = now_cycles
-
     # -- internals ----------------------------------------------------------------
 
+    # Look up before building: ``setdefault`` would construct (and drop) a
+    # fresh accumulator on every one of a request's several records.
     def _request(self, pid: int, rid: int) -> _RequestTrace:
-        return self._requests.setdefault((pid, rid), _RequestTrace())
+        rec = self._requests.get((pid, rid))
+        if rec is None:
+            rec = self._requests[(pid, rid)] = _RequestTrace()
+        return rec
 
     def _task(self, pid: int, task_id: int) -> _TaskTrace:
-        return self._tasks.setdefault((pid, task_id), _TaskTrace())
+        task = self._tasks.get((pid, task_id))
+        if task is None:
+            task = self._tasks[(pid, task_id)] = _TaskTrace()
+        return task
 
     # -- finalization --------------------------------------------------------------
 
@@ -474,8 +422,13 @@ class SpanStitcher:
             begin=rec.begin, end=rec.end, phases=phases, complete=complete,
         )
 
-    def finalize(self) -> StitchedRun:
-        """Resolve every accumulated record into profiles."""
+    def finalize(self, recorder: TraceRecorder) -> StitchedRun:
+        """Resolve every accumulated record into profiles.
+
+        ``recorder`` (the one whose records were fed) names threads and
+        processes and supplies exact engine runtimes; a pid it never saw
+        finish runs to its last event.
+        """
         requests: List[RequestProfile] = []
         unmatched_requests = 0
         for (pid, rid), rec in sorted(self._requests.items()):
@@ -494,10 +447,11 @@ class SpanStitcher:
                 tasks.append(profile)
 
         runtimes = dict(self._max_ts)
-        runtimes.update(self._runtimes)
+        runtimes.update(recorder.runtimes)
+        names = recorder.thread_names()
 
         def name_of(pid: int, tid: int) -> str:
-            return self._names.get((pid, tid), f"tid{tid}")
+            return names.get((pid, tid), f"tid{tid}")
 
         busy_cycles = {
             (pid, name_of(pid, tid)): cycles
@@ -509,7 +463,7 @@ class SpanStitcher:
             span_stacks[key] = span_stacks.get(key, 0) + cycles
 
         mc_queueing: Dict[Tuple[int, str], Tuple[int, int, int]] = {}
-        per_mc: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        per_mc: Dict[Tuple[int, int], List[int]] = {}
         for profile in requests:
             if not profile.complete:
                 continue
@@ -519,11 +473,11 @@ class SpanStitcher:
             wait = profile.phases.get("mc_queue", 0)
             service = rec.svc_dur or 0
             per_mc.setdefault((profile.pid, rec.mc_tid), []).append(
-                (1, wait + service)
+                wait + service
             )
-        for (pid, tid), samples in per_mc.items():
-            issues = sum(n for n, _ in samples)
-            latency = sum(lat for _, lat in samples)
+        for (pid, tid), latencies in per_mc.items():
+            issues = len(latencies)
+            latency = sum(latencies)
             # Step-integrate the issue-instant depth samples (each held
             # until the next sample, the last until run end) so the
             # observed value is a time average, comparable to L = lambda*W.
@@ -566,7 +520,7 @@ class SpanStitcher:
             busy_cycles=busy_cycles,
             span_stacks=span_stacks,
             runtimes=runtimes,
-            process_names=dict(self._pnames),
+            process_names=dict(recorder.process_names),
             mc_queueing=mc_queueing,
             pe_occupancy=pe_occupancy,
             host_detours=dict(self._detours),

@@ -188,7 +188,7 @@ class TestPackedChannel:
 
     def test_flush_waits_count_from_a_cycle_zero_send(self):
         engine, link, chan = self._channel(packing=True)
-        tracer = TraceRecorder(tck_ns=1000.0)  # 1 cycle == 1 us of ``ts``
+        tracer = TraceRecorder()
         engine.tracer = tracer
         # A direct 128 B send at cycle 0 keeps the link busy ...
         chan.send(self._msg(128, _noop))
@@ -199,13 +199,13 @@ class TestPackedChannel:
                           on_delivered=_noop, cargo=request))
         assert chan.pending == 1
         engine.run()
-        flushes = [event for event in tracer.events
-                   if event["name"] == "flit_flush"]
+        flushes = [record for record in tracer.events
+                   if record.name == "flit_flush"]
         assert len(flushes) == 1
-        flush_cycle = int(flushes[0]["ts"])
+        flush_cycle = flushes[0].cycle
         assert flush_cycle == chan.flush_timeout
-        assert flushes[0]["args"]["reqs"] == [request.req_id]
-        assert flushes[0]["args"]["waits"] == [flush_cycle]
+        assert flushes[0].args["reqs"] == [request.req_id]
+        assert flushes[0].args["waits"] == [flush_cycle]
 
 
 def build_pool(comm):

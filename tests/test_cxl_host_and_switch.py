@@ -181,9 +181,9 @@ def test_traced_and_untraced_points_count_the_same_crossings(label,
     recorder = TraceRecorder(categories={"cxl"}, limit=0)
     instants = {"host_detour": 0, "turnaround": 0}
 
-    def count(event):
-        if event["name"] in instants:
-            instants[event["name"]] += 1
+    def count(record):
+        if record.name in instants:
+            instants[record.name] += 1
 
     recorder.subscribe(count)
     untraced = run(None)

@@ -2,14 +2,20 @@
 ProfileReport/flamegraph round trips, the profile CLI, per-job profiles,
 and the cross-check against the simulator's own counters."""
 
+import hashlib
+import itertools
 import json
 import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.__main__ import main
+import repro.core.task as task_module
+import repro.dram.request as request_module
 from repro.core import Algorithm, BeaconConfig, BeaconD, OptimizationFlags
 from repro.experiments import ExperimentScale, ParallelSweepRunner
 from repro.experiments.parallel import SweepJob, profile_path_for
@@ -26,13 +32,17 @@ from repro.obs import (
     diff_reports,
     load_trace,
     profile_trace_file,
+    recorder_from_chrome,
     write_flamegraph,
 )
 from repro.obs.profile import build_report
-from repro.experiments.scenarios import resolve_scenario
+from repro.experiments.scenarios import get_scenario, resolve_scenario
 from repro.perf import result_digest
+from repro.sim.engine import Engine
 
-TCK = 1.25
+#: sha256 of quick fig16's observer outputs (re-record with the ROADMAP's
+#: re-record protocol when a digest-changing change moves them).
+OBS_FIG16 = Path(__file__).resolve().parent / "data" / "obs_fig16.json"
 
 
 # -- hand-built feed helpers -------------------------------------------------------
@@ -57,16 +67,16 @@ def _feed_request_story(recorder, pid=1, rid=7, begin=100, enq=160,
 
 class TestSpanStitching:
     def _stitch(self, order=None):
-        recorder = TraceRecorder(tck_ns=TCK)
-        stitcher = SpanStitcher(tck_ns=TCK)
+        recorder = TraceRecorder()
+        stitcher = SpanStitcher()
         recorder.subscribe(stitcher.feed)
         _feed_request_story(recorder)
         if order is not None:
             events = [recorder.events[i] for i in order]
-            fresh = SpanStitcher(tck_ns=TCK)
+            fresh = SpanStitcher()
             fresh.feed_many(events)
-            return fresh.finalize()
-        return stitcher.finalize()
+            return fresh.finalize(recorder)
+        return stitcher.finalize(recorder)
 
     def test_exact_phase_decomposition(self):
         run = self._stitch()
@@ -92,26 +102,26 @@ class TestSpanStitching:
         ]
 
     def test_unmatched_request_is_counted_not_fatal(self):
-        recorder = TraceRecorder(tck_ns=TCK)
-        stitcher = SpanStitcher(tck_ns=TCK)
+        recorder = TraceRecorder()
+        stitcher = SpanStitcher()
         recorder.subscribe(stitcher.feed)
         recorder.async_begin("req", "mem_req", "p", 10, 99, pid=1)
         _feed_request_story(recorder, rid=7)
-        run = stitcher.finalize()
+        run = stitcher.finalize(recorder)
         assert run.unmatched_requests == 1
         assert len(run.requests) == 1
 
     def test_request_without_interior_stays_summed(self):
         # Routed atomics never visit a controller: no dram span.
-        recorder = TraceRecorder(tck_ns=TCK)
-        stitcher = SpanStitcher(tck_ns=TCK)
+        recorder = TraceRecorder()
+        stitcher = SpanStitcher()
         recorder.subscribe(stitcher.feed)
         recorder.async_begin("req", "mem_req", "p", 0, 5, pid=1)
         recorder.complete("cxl", "xfer", "p.fabric.l", 0, 10, pid=1,
                           args={"role": "cxl_link", "lat": 12, "wait": 0,
                                 "reqs": [5]})
         recorder.async_end("req", "mem_req", "p", 50, 5, pid=1)
-        (req,) = stitcher.finalize().requests
+        (req,) = stitcher.finalize(recorder).requests
         assert not req.complete
         assert req.phases["fab_cxl_serialize"] == 10
         assert req.phases["fab_cxl_propagate"] == 12
@@ -119,8 +129,8 @@ class TestSpanStitching:
         assert sum(req.phases.values()) == 50
 
     def test_task_phase_split(self):
-        recorder = TraceRecorder(tck_ns=TCK)
-        stitcher = SpanStitcher(tck_ns=TCK)
+        recorder = TraceRecorder()
+        stitcher = SpanStitcher()
         recorder.subscribe(stitcher.feed)
         recorder.async_begin("ndp", "task", "m", 0, 1, pid=1,
                              args={"algorithm": "fm", "node": "d0"})
@@ -134,7 +144,7 @@ class TestSpanStitching:
         recorder.complete("ndp", "compute", "m.pes", 32, 8, pid=1,
                           args={"task": 1})
         recorder.async_end("ndp", "task", "m", 40, 1, pid=1)
-        (task,) = stitcher.finalize().tasks
+        (task,) = stitcher.finalize(recorder).tasks
         assert task.phases == {"compute": 18, "mem_stall": 15, "pe_wait": 7}
         assert sum(task.phases.values()) == task.total_cycles == 40
 
@@ -165,8 +175,8 @@ class TestExactSumProperty:
         enq = begin + g_req
         svc_start = enq + g_queue
         end = svc_start + svc + g_resp
-        stitcher = SpanStitcher(tck_ns=TCK)
-        recorder = TraceRecorder(tck_ns=TCK)
+        stitcher = SpanStitcher()
+        recorder = TraceRecorder()
         recorder.subscribe(stitcher.feed)
         # deliberately out of order: end first, interior, begin last
         recorder.async_end("req", "mem_req", "p", end, 1, pid=1)
@@ -182,7 +192,7 @@ class TestExactSumProperty:
             recorder.instant("cxl", "flit_flush", "p.pk", begin, pid=1,
                              args={"reqs": [1], "waits": [wait]})
         recorder.async_begin("req", "mem_req", "p", begin, 1, pid=1)
-        (req,) = stitcher.finalize().requests
+        (req,) = stitcher.finalize(recorder).requests
         assert sum(req.phases.values()) == req.total_cycles == end - begin
         assert all(cycles >= 0 for cycles in req.phases.values())
 
@@ -196,8 +206,8 @@ class TestExactSumProperty:
         readies=st.lists(st.integers(0, 10**5), max_size=5),
     )
     def test_task_phases_sum_to_total(self, total, computes, stalls, readies):
-        stitcher = SpanStitcher(tck_ns=TCK)
-        recorder = TraceRecorder(tck_ns=TCK)
+        stitcher = SpanStitcher()
+        recorder = TraceRecorder()
         recorder.subscribe(stitcher.feed)
         recorder.async_begin("ndp", "task", "m", 0, 1, pid=1)
         recorder.async_end("ndp", "task", "m", total, 1, pid=1)
@@ -210,7 +220,7 @@ class TestExactSumProperty:
         for offset in readies:
             recorder.instant("ndp", "ready", "m.sched", offset, pid=1,
                              args={"task": 1})
-        (task,) = stitcher.finalize().tasks
+        (task,) = stitcher.finalize(recorder).tasks
         assert sum(task.phases.values()) == task.total_cycles == total
         assert all(cycles >= 0 for cycles in task.phases.values())
 
@@ -219,8 +229,8 @@ class TestExactSumProperty:
 
 
 def _synthetic_report(mean_latency=450.0, queue=1000):
-    recorder = TraceRecorder(tck_ns=TCK)
-    profiler = LatencyProfiler(tck_ns=TCK).attach(recorder)
+    recorder = TraceRecorder()
+    profiler = LatencyProfiler().attach(recorder)
     _feed_request_story(recorder)
     recorder.register_root(1, "sys", None)
     recorder.note_runtime(1, 500)
@@ -311,7 +321,7 @@ class TestExportFixes:
             {"ph": "b", "cat": "ndp", "name": "task", "id": "0x8",
              "pid": 1, "tid": 5, "ts": 3.0},
         ]
-        ranked = busiest_components(events)
+        ranked = busiest_components(recorder_from_chrome(events))
         assert ranked[0] == ("pid1:sys.module", 100.0)
         assert ranked[1] == ("pid1:sys.pes", 40.0)
 
@@ -341,13 +351,13 @@ class TestExportFixes:
 
 class TestListenerSeesPastStorageCap:
     def test_profiler_complete_with_zero_storage(self):
-        recorder = TraceRecorder(tck_ns=TCK, limit=0)
-        stitcher = SpanStitcher(tck_ns=TCK)
+        recorder = TraceRecorder(limit=0)
+        stitcher = SpanStitcher()
         recorder.subscribe(stitcher.feed)
         _feed_request_story(recorder)
         assert recorder.recorded == 0
         assert recorder.dropped == 4
-        run = stitcher.finalize()
+        run = stitcher.finalize(recorder)
         assert len(run.requests) == 1
         assert run.requests[0].complete
 
@@ -355,13 +365,28 @@ class TestListenerSeesPastStorageCap:
 # -- live profiling of real figure runs --------------------------------------------
 
 
+@contextmanager
+def _numbered_like_a_fresh_process():
+    """Trace pids, request ids and task ids count from 0 inside, as in a
+    fresh ``python -m repro`` process; the old counters resume after."""
+    saved = (Engine._next_trace_id, request_module._next_request_id,
+             task_module._task_ids)
+    Engine._next_trace_id = 0
+    request_module._next_request_id = itertools.count().__next__
+    task_module._task_ids = itertools.count()
+    try:
+        yield
+    finally:
+        (Engine._next_trace_id, request_module._next_request_id,
+         task_module._task_ids) = saved
+
+
 @pytest.fixture(scope="module")
 def fig16_live_profile():
-    from repro.experiments import fig16_prealignment
-
-    session = TraceSession(limit=0, profile=True)
-    with session:
-        result = fig16_prealignment.run(
+    """One quick fig16 run, profiled in-stream with the whole trace kept."""
+    session = TraceSession(limit=None, profile=True)
+    with _numbered_like_a_fresh_process(), session:
+        result = get_scenario("fig16").run(
             ExperimentScale.quick(), runner=ParallelSweepRunner(jobs=1)
         )
     return session, result
@@ -370,7 +395,7 @@ def fig16_live_profile():
 class TestLiveProfiling:
     def test_every_stitched_request_sums_exactly(self, fig16_live_profile):
         session, _ = fig16_live_profile
-        run = session.profiler.stitcher.finalize()
+        run = session.profiler.stitcher.finalize(session.recorder)
         assert len(run.requests) > 100
         assert run.unmatched_requests == 0
         for request in run.requests:
@@ -405,24 +430,30 @@ class TestLiveProfiling:
 
     def test_post_hoc_trace_profile_agrees_with_live(self, fig16_live_profile,
                                                      tmp_path):
-        from repro.experiments import fig16_prealignment
-
-        session = TraceSession(limit=None, profile=True)
-        with session:
-            fig16_prealignment.run(
-                ExperimentScale.quick(), runner=ParallelSweepRunner(jobs=1)
-            )
+        session, _ = fig16_live_profile
         path = str(tmp_path / "t.json")
         session.save(path)
-        live = session.profile_report(figure="fig16")
-        posthoc = profile_trace_file(path, figure="fig16")
-        assert posthoc.source == "events"
-        assert not posthoc.truncated
-        for label, system in live.systems.items():
-            assert (
-                posthoc.systems[label]["requests"]["phases_cycles"]
-                == system["requests"]["phases_cycles"]
-            )
+        live = session.profile_report(figure="fig16").to_dict()
+        posthoc = profile_trace_file(path, figure="fig16").to_dict()
+        assert (live.pop("source"), posthoc.pop("source")) == ("live", "events")
+        assert not posthoc["truncated"]
+        assert posthoc == live
+
+    def test_outputs_match_the_pinned_digests(self, fig16_live_profile,
+                                              tmp_path):
+        """The trace JSON, ``profile.json`` and ``profile.folded`` of quick
+        fig16, as ``python -m repro trace``/``profile fig16`` write them,
+        are byte-identical to the recorded ones."""
+        session, _ = fig16_live_profile
+        outputs = {name: tmp_path / name for name in
+                   ("trace.json", "profile.json", "profile.folded")}
+        session.save(str(outputs["trace.json"]))
+        report = session.profile_report(figure="fig16", scale="quick")
+        report.save(str(outputs["profile.json"]))
+        write_flamegraph(report, str(outputs["profile.folded"]))
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in outputs.items()}
+        assert digests == json.loads(OBS_FIG16.read_text())
 
 
 # -- cross-check against the simulator's counters ---------------------------------
@@ -440,7 +471,7 @@ def crosschecked_run():
                                          read_scale=2.0)
         system.run_fm_seeding(workload)
     report = session.profile_report(figure="crosscheck")
-    stitched = session.profiler.stitcher.finalize()
+    stitched = session.profiler.stitcher.finalize(session.recorder)
     return system, report, stitched
 
 

@@ -11,14 +11,17 @@ from repro.obs import (
     MetricsSampler,
     NullRecorder,
     TRACE_CATEGORIES,
+    TraceRecord,
     TraceRecorder,
     TraceSession,
     busiest_components,
     current_recorder,
+    recorder_from_chrome,
     trace_layers,
     write_chrome_trace,
     write_metrics_csv,
 )
+from repro.obs.export import chrome_events
 from repro.sim.engine import Engine
 from repro.sim.stats import StatScope
 
@@ -53,23 +56,19 @@ class TestNullRecorder:
 
 
 class TestTraceRecorder:
-    def test_complete_span_shape(self):
+    def test_complete_span_is_one_cycle_record(self):
         rec = TraceRecorder(tck_ns=1.25)
         rec.complete("dram", "RD", "sys.mc", 800, 80, pid=3, args={"bank": 2})
-        (event,) = rec.events
-        assert event["ph"] == "X"
-        assert event["cat"] == "dram"
-        assert event["pid"] == 3
-        assert event["ts"] == pytest.approx(800 * 1.25 / 1000)
-        assert event["dur"] == pytest.approx(80 * 1.25 / 1000)
-        assert event["args"] == {"bank": 2}
+        (record,) = rec.events
+        assert record == TraceRecord("X", "dram", "RD", 3, 1, 800, 80, None,
+                                     {"bank": 2})
 
     def test_category_filter(self):
         rec = TraceRecorder(categories={"cxl"})
         assert rec.wants("cxl") and not rec.wants("dram")
         rec.complete("dram", "RD", "sys.mc", 0, 10)
         rec.instant("cxl", "flit_flush", "sys.link", 5)
-        assert [e["cat"] for e in rec.events] == ["cxl"]
+        assert [e.cat for e in rec.events] == ["cxl"]
         assert rec.dropped == 0  # filtered events are not "dropped"
 
     def test_unknown_category_rejected(self):
@@ -91,7 +90,7 @@ class TestTraceRecorder:
         rec.instant("dram", "a", "sys.mc", 0, pid=0)
         rec.instant("dram", "b", "sys.mc", 1, pid=0)
         rec.instant("dram", "c", "sys.mc", 2, pid=1)
-        tids = [e["tid"] for e in rec.events]
+        tids = [e.tid for e in rec.events]
         assert tids[0] == tids[1] != tids[2]
 
     def test_async_pair_and_layers(self):
@@ -99,18 +98,16 @@ class TestTraceRecorder:
         rec.async_begin("ndp", "task", "sys.ndp", 0, 42, pid=0)
         rec.async_end("ndp", "task", "sys.ndp", 100, 42, pid=0)
         begin, end = rec.events
-        assert (begin["ph"], end["ph"]) == ("b", "e")
-        assert begin["id"] == end["id"] == "0x2a"
+        assert (begin.ph, end.ph) == ("b", "e")
+        assert begin.event_id == end.event_id == 42
         assert rec.layers() == {"ndp"}
 
-    def test_metadata_names_processes_and_threads(self):
+    def test_names_processes_and_threads(self):
         rec = TraceRecorder()
         rec.register_root(0, "beacon-d", StatScope("beacon-d"))
         rec.complete("dram", "RD", "beacon-d.mc", 0, 1, pid=0)
-        metadata = rec.metadata_events()
-        names = {e["name"] for e in metadata}
-        assert names == {"process_name", "thread_name"}
-        assert rec.chrome_events() == metadata + rec.events
+        assert rec.process_names == {0: "beacon-d"}
+        assert rec.thread_names() == {(0, 1): "beacon-d.mc"}
 
 
 class TestMetricsSampler:
@@ -205,5 +202,68 @@ class TestExport:
         rec.complete("dram", "RD", "sys.fast", 0, 10, pid=0)
         rec.complete("dram", "RD", "sys.slow", 0, 100, pid=0)
         rec.instant("dram", "noise", "sys.slow", 0, pid=0)
-        (top, _), (second, _) = busiest_components(rec.chrome_events(), n=2)
+        (top, _), (second, _) = busiest_components(rec, n=2)
         assert top.endswith("sys.slow") and second.endswith("sys.fast")
+
+
+def _every_phase(rec):
+    """One record of each phase, with ids past 32 bits and cycle values
+    whose microsecond float is inexact (7 * 1.25 / 1000 = 0.00875)."""
+    rec.register_root(3, "sys", StatScope("sys"))
+    rec.complete("dram", "RD", "sys.mc", 7, 13, pid=3,
+                 args={"req": 2**40 + 1, "wait": 3})
+    rec.complete("mem", "dedicate", "sys.mgr", 10**9 + 7, 0, pid=3)
+    rec.instant("cxl", "flit_flush", "sys.pk", 999_999_999_999, pid=3,
+                args={"reqs": [1, 2], "waits": [0, 5]})
+    rec.instant("cxl", "host_detour", "sys.host", 3, pid=4)
+    rec.counter("ndp", "pes_busy", "sys.pes", 123_456_789,
+                {"busy": 3, "total": 8}, pid=3)
+    rec.async_begin("req", "mem_req", "sys.pool", 1, 2**32, pid=3,
+                    args={"task": None, "size": 64})
+    rec.async_end("req", "mem_req", "sys.pool", 2**45 + 3, 2**63 - 1,
+                  pid=3)
+    rec.note_runtime(3, 2**45 + 3)
+    return rec
+
+
+class TestChromeRoundTrip:
+    def test_records_survive_the_chrome_format(self):
+        rec = _every_phase(TraceRecorder(tck_ns=1.25))
+        assert {record.ph for record in rec.events} == set("XiCbe")
+        back = recorder_from_chrome(list(chrome_events(rec)), tck_ns=1.25)
+        assert back.events == rec.events
+        assert back.process_names == rec.process_names
+        assert back.thread_ids == rec.thread_ids
+
+    def test_chrome_dicts_carry_microseconds_and_hex_ids(self):
+        rec = _every_phase(TraceRecorder(tck_ns=1.25))
+        events = list(chrome_events(rec))
+        assert [e["ph"] for e in events[:6]] == ["M"] * 6
+        span, _, flush, _, counter, begin, end = events[6:]
+        assert span["ts"] == 7 * 1.25 / 1000 and span["dur"] == 13 * 1.25 / 1000
+        assert flush["s"] == "t"
+        assert counter["name"] == "sys.pes.pes_busy" and counter["tid"] == 0
+        assert (begin["id"], end["id"]) == ("0x100000000", "0x7fffffffffffffff")
+        assert "args" not in end
+
+    def test_saved_file_round_trips(self, tmp_path):
+        rec = _every_phase(TraceRecorder(tck_ns=1.25))
+        path = str(tmp_path / "t.json")
+        written = write_chrome_trace(rec, path)
+        with open(path) as handle:
+            payload = json.load(handle)
+        assert written == len(payload["traceEvents"])
+        assert payload["otherData"]["runtimes_cycles"] == {"3": 2**45 + 3}
+        back = recorder_from_chrome(payload["traceEvents"],
+                                    tck_ns=payload["otherData"]["tck_ns"])
+        assert back.events == rec.events
+
+    def test_streamed_file_equals_one_json_dump(self, tmp_path, monkeypatch):
+        import repro.obs.export as export
+
+        monkeypatch.setattr(export, "_WRITE_CHUNK", 2)
+        path = tmp_path / "t.json"
+        for rec in (TraceRecorder(), _every_phase(TraceRecorder())):
+            write_chrome_trace(rec, str(path))
+            payload = json.loads(path.read_text())
+            assert path.read_text() == json.dumps(payload) + "\n"
